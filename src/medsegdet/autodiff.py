@@ -3,8 +3,11 @@
 Every trainable component in this package is built from the operations in
 this module.  The design is define-by-run: each forward pass records nodes
 onto a per-thread tape (creation order is topological order), and
-``backward`` sweeps the tape in reverse.  A central finite-difference
-oracle (``finite_difference_check``) verifies gradients independently.
+``backward`` sweeps the tape in reverse.  Only tensors that require grad
+are recorded: a constant operand (a mask, a target, a frozen feature grid,
+a Python scalar) gets no node, and the binary ops skip its vector-Jacobian
+product.  A central finite-difference oracle (``finite_difference_check``)
+verifies gradients independently.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ class TapeError(RuntimeError):
 # (None for parents that need no gradient).
 GradFn = Callable[[Array], tuple]
 
+# parent id of an operand that does not require grad; backward skips it
+CONSTANT = -1
+
 
 @dataclass
 class Node:
@@ -53,6 +59,7 @@ class Tape:
 
     Nodes are appended in creation order, so every node's parents precede
     it; node ids are indices into ``nodes`` and unique per tape epoch.
+    Parents that do not require grad get no node; their id is ``CONSTANT``.
     """
 
     def __init__(self):
@@ -67,7 +74,7 @@ class Tape:
         return t._node_id
 
     def record(self, out: "Tensor", parents: Sequence["Tensor"], grad_fn: GradFn) -> None:
-        pids = tuple(self._ensure_id(p) for p in parents)
+        pids = tuple(self._ensure_id(p) if p.requires_grad else CONSTANT for p in parents)
         out._epoch = self.epoch
         out._node_id = len(self.nodes)
         self.nodes.append(Node(out, pids, grad_fn))
@@ -210,6 +217,8 @@ def _record(out_data: Array, parents: Sequence[Tensor], grad_fn: GradFn) -> Tens
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
     """Sum a broadcast gradient back down to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -227,62 +236,71 @@ def _binary_data(name: str, a: Tensor, b: Tensor, ufunc) -> Array:
 
 
 # -- elementwise arithmetic ------------------------------------------------
+# The binary ops read ``requires_grad`` when they record and skip the vjp
+# of an operand that does not need one (a constant: mask, target, scalar).
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_data("add", a, b, np.add)
-    ash, bsh = a.shape, b.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
+    ash, bsh, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g, ash) if ra else None,
+        _unbroadcast(g, bsh) if rb else None,
+    ))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_data("sub", a, b, np.subtract)
-    ash, bsh = a.shape, b.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
+    ash, bsh, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g, ash) if ra else None,
+        _unbroadcast(-g, bsh) if rb else None,
+    ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_data("mul", a, b, np.multiply)
     ash, bsh, ad, bd = a.shape, b.shape, a.data, b.data
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)),
-    )
+    ra, rb = a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g * bd, ash) if ra else None,
+        _unbroadcast(g * ad, bsh) if rb else None,
+    ))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_data("div", a, b, np.divide)
     ash, bsh, ad, bd = a.shape, b.shape, a.data, b.data
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g / bd, ash), _unbroadcast(-g * ad / (bd * bd), bsh)),
-    )
+    ra, rb = a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g / bd, ash) if ra else None,
+        _unbroadcast(-g * ad / (bd * bd), bsh) if rb else None,
+    ))
 
 
 def neg(a: Tensor) -> Tensor:
     return _record(-a.data, (a,), lambda g: (-g,))
 
 
+def _select(name: str, a: Tensor, b: Tensor, ufunc, prefer_a) -> Tensor:
+    """Elementwise pick between ``a`` and ``b``; the gradient follows the pick."""
+    out = _binary_data(name, a, b, ufunc)
+    take_a = prefer_a(a.data, b.data)
+    ash, bsh, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g * take_a, ash) if ra else None,
+        _unbroadcast(g * ~take_a, bsh) if rb else None,
+    ))
+
+
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first operand."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _binary_data("maximum", a, b, np.maximum)
-    ash, bsh = a.shape, b.shape
-    take_a = a.data >= b.data
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * take_a, ash), _unbroadcast(g * ~take_a, bsh)),
-    )
+    return _select("maximum", a, b, np.maximum, np.greater_equal)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _binary_data("minimum", a, b, np.minimum)
-    ash, bsh = a.shape, b.shape
-    take_a = a.data <= b.data
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * take_a, ash), _unbroadcast(g * ~take_a, bsh)),
-    )
+    return _select("minimum", a, b, np.minimum, np.less_equal)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -313,14 +331,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if B.ndim == 1:
         out = out[..., 0] if A.ndim == 1 else out[:, 0]
 
+    ra, rb = a.requires_grad, b.requires_grad
+
     def grad_fn(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
-        da = g2 @ b2.T
-        db = a2.T @ g2
-        if A.ndim == 1:
-            da = da[0]
-        if B.ndim == 1:
-            db = db[:, 0]
+        da = db = None
+        if ra:
+            da = g2 @ b2.T
+            if A.ndim == 1:
+                da = da[0]
+        if rb:
+            db = a2.T @ g2
+            if B.ndim == 1:
+                db = db[:, 0]
         return (da, db)
 
     return _record(out, (a, b), grad_fn)
@@ -355,13 +378,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
+def _is_basic_key(key) -> bool:
+    """True for keys of ints and slices only, which select each element once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        isinstance(k, slice) or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
+
+
 def tslice(a: Tensor, key) -> Tensor:
     out = a.data[key]
     shape = a.shape
+    basic = _is_basic_key(key)
 
     def grad_fn(g):
         z = np.zeros(shape)
-        np.add.at(z, key, g)
+        if basic:
+            z[key] = g
+        else:  # fancy indices may repeat, so their gradients accumulate
+            np.add.at(z, key, g)
         return (z,)
 
     return _record(out, (a,), grad_fn)
@@ -511,6 +547,8 @@ def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
         raise ShapeError(f"bilinear_upsample: expected 2-D grid, got {a.shape}")
     h, w = a.shape
     H, W = out_hw
+    if h == H and w == W:
+        return _record(a.data.copy(), (a,), lambda g: (g,))
     i0, i1, ty, j0, j1, tx = _bilinear_indices(h, w, H, W)
     x = a.data
     top = (1.0 - tx) * x[np.ix_(i0, j0)] + tx * x[np.ix_(i0, j1)]
@@ -572,11 +610,14 @@ def kernel_ops(inputs, kind: str, **kwargs) -> Tensor:
 # -- backward ----------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf tensor reachable from ``loss``.
 
-    Gradients are assigned, not accumulated, so running backward twice on
-    the same tape yields identical results.  Leaves that do not reach the
-    loss keep their zero gradient buffer.
+    A leaf is a tensor that requires grad and was not produced by a recorded
+    operation, such as a parameter.  Gradients are assigned, not
+    accumulated, so running backward twice on the same tape yields
+    identical results.  Leaves on the tape that do not reach the loss get a
+    zero gradient.  Intermediate tensors get no ``grad``: each one's
+    gradient is released as soon as it has been passed to its parents.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -585,26 +626,25 @@ def backward(loss: Tensor) -> None:
         raise TapeError("backward: loss is not recorded on the active tape")
 
     n = loss._node_id
-    grads: list = [None] * len(tape.nodes)
+    nodes = tape.nodes
+    grads: list = [None] * len(nodes)
     grads[n] = np.ones_like(loss.data)
     for idx in range(n, -1, -1):
         g = grads[idx]
-        node = tape.nodes[idx]
+        node = nodes[idx]
         if g is None or node.grad_fn is None:
             continue
+        grads[idx] = None
         for pid, pg in zip(node.parent_ids, node.grad_fn(g)):
-            if pg is None:
+            if pg is None or pid == CONSTANT:
                 continue
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
 
-    for idx, node in enumerate(tape.nodes):
-        t = node.tensor
-        if not t.requires_grad:
-            continue
-        if grads[idx] is not None:
-            t.grad = np.asarray(grads[idx], dtype=np.float64).reshape(t.shape)
-        elif node.grad_fn is None:
-            t.grad = np.zeros_like(t.data)
+    for idx, node in enumerate(nodes):
+        if node.grad_fn is None:
+            t = node.tensor
+            g = grads[idx]
+            t.grad = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64).reshape(t.shape)
 
 
 # -- verification oracle -------------------------------------------------------

@@ -198,10 +198,8 @@ class MockOracle(OracleInterface):
 
 # -- synthetic images ----------------------------------------------------------
 
-def _object_mask(kind: str, H: int, W: int, cx, cy, a, b, wobble, phase) -> np.ndarray:
-    ys = (np.arange(H) + 0.5) / H
-    xs = (np.arange(W) + 0.5) / W
-    Y, X = np.meshgrid(ys, xs, indexing="ij")
+def _object_mask(kind: str, X: np.ndarray, Y: np.ndarray, cx, cy, a, b, wobble, phase) -> np.ndarray:
+    """Object of the given kind on the pixel-centre grid ``X``, ``Y``."""
     dx, dy = X - cx, Y - cy
     if kind == "rect":
         return (np.abs(dx) <= a) & (np.abs(dy) <= b)
@@ -218,6 +216,10 @@ def synth_records(count: int, seed: int, hw: tuple[int, int] = (64, 64)) -> list
     if count < 1:
         raise ValueError("count must be >= 1")
     H, W = hw
+    ys = (np.arange(H) + 0.5) / H
+    xs = (np.arange(W) + 0.5) / W
+    Y, X = np.meshgrid(ys, xs, indexing="ij")
+    ramp = 0.45 + 0.15 * (X + Y - 1.0)
     rng = np.random.default_rng(seed)
     records = []
     for i in range(count):
@@ -228,13 +230,10 @@ def synth_records(count: int, seed: int, hw: tuple[int, int] = (64, 64)) -> list
         a, b = rng.uniform(0.1, 0.28, 2)
         wobble = rng.uniform(0.1, 0.25)
         phase = rng.uniform(0, 2 * np.pi)
-        mask = _object_mask(kind, H, W, cx, cy, a, b, wobble, phase)
+        mask = _object_mask(kind, X, Y, cx, cy, a, b, wobble, phase)
         if not mask.any():  # geometry bounds keep this unreachable; belt and braces
             mask[H // 2, W // 2] = True
-        ys = (np.arange(H) + 0.5) / H
-        xs = (np.arange(W) + 0.5) / W
-        Y, X = np.meshgrid(ys, xs, indexing="ij")
-        background = 0.45 + 0.15 * (X + Y - 1.0) + 0.03 * rng.normal(size=(H, W))
+        background = ramp + 0.03 * rng.normal(size=(H, W))
         shift = rng.uniform(0.25, 0.45) * (1 if rng.uniform() < 0.5 else -1)
         image = np.clip(background + shift * mask, 0.0, 1.0)
         records.append(

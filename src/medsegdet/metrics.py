@@ -163,7 +163,7 @@ def evaluate_samples(samples: list[EvalSample], acc_threshold: float = 0.5) -> M
 
     def block(subset):
         dice, giou, ciou = aggregate_seg(subset)
-        mean_box = float(np.mean([_sample_box_iou(s) for s in subset]))
+        mean_box = math.fsum(_sample_box_iou(s) for s in subset) / len(subset)
         return {
             "dice": 100.0 * dice,
             "giou": 100.0 * giou,

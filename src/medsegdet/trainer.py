@@ -557,7 +557,9 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, OptState]:
     opt = init_opt_state(model.trainable())
     opt.step = ckpt.opt_step
     for name in opt.m:
-        if name in m:
-            opt.m[name][...] = m[name]
-            opt.v[name][...] = v[name]
+        for kind, saved_moments, moment in (("m", m, opt.m[name]), ("v", v, opt.v[name])):
+            saved = saved_moments.get(name)
+            if saved is None:
+                raise CheckpointError(f"checkpoint lacks optimizer moment opt.{kind}.{name}")
+            moment[...] = saved
     return model, opt

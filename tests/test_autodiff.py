@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,52 @@ def test_bilinear_upsample_preserves_constant_grid():
     x = Tensor(np.full((4, 4), 2.5))
     out = ad.bilinear_upsample(x, (12, 12))
     assert np.allclose(out.data, 2.5, atol=1e-12)
+
+
+def test_constants_get_no_node_and_intermediates_no_grad():
+    tape = reset_tape()
+    x = Tensor([0.5, -1.0], requires_grad=True)
+    y = ad.sigmoid(x)
+    loss = (y * 2.0).sum()
+    assert [n.tensor for n in tape.nodes[:2]] == [x, y]
+    assert len(tape.nodes) == 4  # x, sigmoid, mul, sum: no node for the 2.0
+    assert tape.nodes[2].parent_ids == (y.node_id, ad.CONSTANT)
+    backward(loss)
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s), rtol=1e-15)
+    assert y.grad is None and loss.grad is None
+
+
+def test_slice_gradient_accumulates_repeated_fancy_indices():
+    reset_tape()
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    backward(x[[0, 0, 1]].sum() + x[2, 1:].sum() + (x[np.int64(1)] * 3.0).sum())
+    assert np.array_equal(x.grad, [[2.0, 2.0], [4.0, 4.0], [0.0, 1.0]])
+
+
+def test_bilinear_upsample_identity_is_a_pass_through():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+    w = rng.normal(size=(6, 6))
+    assert np.array_equal(ad.bilinear_upsample(x, (6, 6)).data, x.data)
+
+    def f():
+        return (ad.bilinear_upsample(x, (6, 6)) * w).sum()
+
+    assert finite_difference_check(f, [x], step=1e-6) < 1e-4
+    np.testing.assert_array_equal(x.grad, w)
+
+
+def test_bilinear_upsample_values_and_gradients_are_unchanged():
+    # sha256 of the output and input gradient, recorded before the identity
+    # fast path was added; the resampling arithmetic must stay bitwise
+    recorded = {(8, 8): "bf4e97967906c242", (7, 4): "5cb805045bf0919b", (6, 6): "58732d3de1d17293"}
+    rng = np.random.default_rng(5)
+    for in_hw, out_hw in (((4, 4), (8, 8)), ((3, 5), (7, 4)), ((6, 6), (6, 6))):
+        reset_tape()
+        x = Tensor(rng.normal(size=in_hw), requires_grad=True)
+        w = rng.normal(size=out_hw)
+        y = ad.bilinear_upsample(x, out_hw)
+        backward((y * w).sum())
+        digest = hashlib.sha256(y.data.tobytes() + x.grad.tobytes()).hexdigest()[:16]
+        assert digest == recorded[out_hw], out_hw

@@ -254,3 +254,20 @@ def test_evaluate_samples_report():
     assert rep.per_category["c0"]["dice"] == pytest.approx(100.0)
     text = rep.to_text()
     assert "samples: 6" in text and "per-category:" in text
+
+
+def test_evaluate_samples_report_is_order_independent():
+    rng = np.random.default_rng(8)
+    samples = []
+    for k in range(200):
+        gt = rng.uniform(size=(6, 6)) > 0.5
+        pred = rng.uniform(size=(6, 6)) > 0.5
+        x1, y1 = rng.uniform(0.0, 0.5, 2)
+        u1, v1 = rng.uniform(0.0, 0.5, 2)
+        gt_box = BBox(x1, y1, x1 + rng.uniform(0.1, 0.5), y1 + rng.uniform(0.1, 0.5))
+        pred_box = BBox(u1, v1, u1 + rng.uniform(0.1, 0.5), v1 + rng.uniform(0.1, 0.5))
+        samples.append(EvalSample(pred, gt, pred_box, gt_box, category=f"c{k % 3}"))
+    ref = evaluate_samples(samples)
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(samples))
+        assert evaluate_samples([samples[i] for i in order]) == ref

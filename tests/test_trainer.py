@@ -1,11 +1,14 @@
 """Trainer tests: schedule and optimizer algebra, sampling mix, full train
 steps on a tiny model, checkpoint round-trips, and evaluation plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import medsegdet.autodiff as ad
 from medsegdet.autodiff import Tensor
+from medsegdet.cli import PRESETS
 from medsegdet.datagen import QAPair, candidate_placeholders, synth_records
 from medsegdet.fusion import FusionConfig
 from medsegdet.losses import LossWeights
@@ -362,6 +365,159 @@ def test_all_trainable_tensors_receive_gradient():
         assert np.any(t.grad != 0.0), name
 
 
+def test_overfit_step_tape_holds_only_nodes_that_need_grad():
+    # constants (masks, targets, frozen features, scalars) get no tape node
+    cfg = TrainConfig.from_dict({**PRESETS["overfit"], "seed": 0})
+    model = init_model(cfg)
+    records = synth_records(16, seed=0)
+    sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+    batch = [next(sampler) for _ in range(cfg.batch_size)]
+    train_step(model, batch, 0, cfg, init_opt_state(model.trainable()))
+    nodes = ad.active_tape().nodes
+    assert len(nodes) <= 3100
+    assert all(n.grad_fn is not None or n.tensor.requires_grad for n in nodes)
+
+
+# float-hex total losses and per-parameter gradient hashes (sha256 over the
+# gradients of every step, first 16 hex digits), recorded before constants
+# were taken off the tape
+RECORDED_STEPS = {
+    "end2end": (
+        ("0x1.ecf4ba88fa21fp+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b9p+2"),
+        {
+            "mllm.tok_emb": "cdf70e947e9b8a3c",
+            "mllm.pos_emb": "e9d7e4f29fbdfac6",
+            "mllm.out_proj": "e7d77b10ff286b00",
+            "mllm.blocks.0.ln1_g": "a64bcdb115b54d58",
+            "mllm.blocks.0.ln1_b": "bd1d5e71385e690c",
+            "mllm.blocks.0.wq": "7a7c91967e78ca77",
+            "mllm.blocks.0.wk": "0cae175d6694a50c",
+            "mllm.blocks.0.wv": "e03928daf3039624",
+            "mllm.blocks.0.wo": "f03ee5b497dca50f",
+            "mllm.blocks.0.ln2_g": "180b843471b609b7",
+            "mllm.blocks.0.ln2_b": "795598a8269127e3",
+            "mllm.blocks.0.w1": "c3de92f54b58b571",
+            "mllm.blocks.0.b1": "3fc8d0ba132c4645",
+            "mllm.blocks.0.w2": "d74c2166f83515eb",
+            "mllm.blocks.0.b2": "c9e5eafa2a8afb60",
+            "mllm.blocks.1.ln1_g": "5d1c3338b05ebaf6",
+            "mllm.blocks.1.ln1_b": "02daf912d7e02ebe",
+            "mllm.blocks.1.wq": "ab28c13554428420",
+            "mllm.blocks.1.wk": "2acc47628098c146",
+            "mllm.blocks.1.wv": "d8f868ab096b5ba2",
+            "mllm.blocks.1.wo": "12855ca953e5b3bf",
+            "mllm.blocks.1.ln2_g": "d7f9a250db2bef53",
+            "mllm.blocks.1.ln2_b": "220a91e985bb2070",
+            "mllm.blocks.1.w1": "df2ab632801d3626",
+            "mllm.blocks.1.b1": "c791bb4f4c1f9834",
+            "mllm.blocks.1.w2": "9a4a5aac09a09452",
+            "mllm.blocks.1.b2": "35a17cc8453febc5",
+            "router.seg_w1": "c989bf803e623266",
+            "router.seg_b1": "21759179bd6977e7",
+            "router.seg_w2": "96d5316e3b7edd93",
+            "router.seg_b2": "b876aa7c5ba2500b",
+            "router.det_w1": "31db98f490822e3d",
+            "router.det_b1": "c93f66f64a51bbd2",
+            "router.det_w2": "560f259c8bb9b4db",
+            "router.det_b2": "87a9198186e87e41",
+            "bbox.w1": "619c77b9742f2013",
+            "bbox.b1": "930d8bef933ff12e",
+            "bbox.w2": "37b83b7996289fff",
+            "bbox.b2": "fee23bde06eb9e20",
+            "bbox.w3": "7f65e581b27221e3",
+            "bbox.b3": "543dfb89aa7fa1d2",
+            "maskdec.w_p": "57a292d8787acfa7",
+            "maskdec.gamma": "bc5bc71d5d5a2ed6",
+            "maskdec.b": "2e82f2d4934c11a5",
+        },
+    ),
+    "finetune": (
+        ("0x1.84c1af5aa3d0dp+7", "0x1.052ed1f53d2ddp+8"),
+        {
+            "mllm.tok_emb": "2d0c0775d6ef6040",
+            "mllm.pos_emb": "f7e52d7d720b2622",
+            "mllm.out_proj": "d8a3e8397c9d2228",
+            "mllm.blocks.0.ln1_g": "2110011880aa6607",
+            "mllm.blocks.0.ln1_b": "704e0258abf759f3",
+            "mllm.blocks.0.wq": "94adc6f0ba10ebe4",
+            "mllm.blocks.0.wk": "836dd701c19cedf9",
+            "mllm.blocks.0.wv": "00cd1dce67ab9c1f",
+            "mllm.blocks.0.wo": "70191b6969e66b38",
+            "mllm.blocks.0.ln2_g": "84c3dcb74b297167",
+            "mllm.blocks.0.ln2_b": "daab7479eea2d6b7",
+            "mllm.blocks.0.w1": "3c4344fa7f7dd9bc",
+            "mllm.blocks.0.b1": "664ab1be88b8af9e",
+            "mllm.blocks.0.w2": "62d6d5337bda2f1c",
+            "mllm.blocks.0.b2": "f563e2a51f4137fa",
+            "mllm.blocks.1.ln1_g": "84da6b699a4b7454",
+            "mllm.blocks.1.ln1_b": "93367c2809233796",
+            "mllm.blocks.1.wq": "dfe925a4c9403b71",
+            "mllm.blocks.1.wk": "efea76e0343fa2e0",
+            "mllm.blocks.1.wv": "0683e9a600cc3f31",
+            "mllm.blocks.1.wo": "98c8ec0d98d7360e",
+            "mllm.blocks.1.ln2_g": "63512fb94c3fc4ef",
+            "mllm.blocks.1.ln2_b": "c816132eb9dbcfee",
+            "mllm.blocks.1.w1": "947d089d8a552e72",
+            "mllm.blocks.1.b1": "7d7766c7ed0ca3e2",
+            "mllm.blocks.1.w2": "076790706c608f5f",
+            "mllm.blocks.1.b2": "fce11edb5ff44e60",
+            "router.seg_w1": "5f5f4fa3f4507943",
+            "router.seg_b1": "b259f67fa3b74f7a",
+            "router.seg_w2": "383ceef81999cdbb",
+            "router.seg_b2": "e58853dc32b6048e",
+            "router.det_w1": "9dcccbab04ed361d",
+            "router.det_b1": "d06d2ef4e796fc1f",
+            "router.det_w2": "52739ff3c18fcb70",
+            "router.det_b2": "315e672fedfac663",
+            "bbox.w1": "74f56fdeebb2dc40",
+            "bbox.b1": "f85725b6488ae78f",
+            "bbox.w2": "a1cdacef00fcc4ac",
+            "bbox.b2": "9eee5c7baa355494",
+            "bbox.w3": "76202a1d597ba479",
+            "bbox.b3": "15540c1f2a8f86aa",
+            "maskdec.w_p": "26d647d6ff1e9596",
+            "maskdec.gamma": "036de3e6e1a27030",
+            "maskdec.b": "e2ec552f51ed4587",
+        },
+    ),
+}
+
+
+def _step_fingerprint(mode: str, steps: int):
+    if mode == "end2end":
+        cfg = TrainConfig.from_dict({**PRESETS["overfit"], "batch_size": 2})
+        records = synth_records(4, seed=0)
+    else:
+        cfg = TrainConfig.from_dict({**PRESETS["finetune"], "mix_ratio": [0, 1], "batch_size": 2})
+        records = short_qa_records(4, seed=0)
+    model = init_model(cfg)
+    opt = init_opt_state(model.trainable())
+    sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+    losses, hashes = [], {name: hashlib.sha256() for name in model.trainable()}
+    for it in range(steps):
+        report = train_step(model, [next(sampler) for _ in range(2)], it, cfg, opt)
+        losses.append(float(report.total.data).hex())
+        for name, t in model.trainable().items():
+            hashes[name].update(t.grad.tobytes())
+    return tuple(losses), {name: h.hexdigest()[:16] for name, h in hashes.items()}
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDED_STEPS))
+def test_train_steps_reproduce_recorded_losses_and_gradients(mode):
+    """A few small-batch steps reproduce the recorded values bitwise.
+
+    Changes to the tape that keep the arithmetic must pass unchanged.  A
+    change that alters rounding (for example batching the forward pass)
+    must regenerate RECORDED_STEPS and say so in CHANGES.md, together with
+    the quality gates it re-ran.
+    """
+    want_losses, want_hashes = RECORDED_STEPS[mode]
+    losses, hashes = _step_fingerprint(mode, len(want_losses))
+    assert losses == want_losses
+    assert [n for n in want_hashes if hashes.get(n) != want_hashes[n]] == []
+    assert hashes.keys() == want_hashes.keys()
+
+
 # -- checkpointing --------------------------------------------------------------------
 
 
@@ -447,6 +603,17 @@ def test_restore_rejects_missing_tensor(tmp_path):
     ckpt = load_checkpoint(path)
     del ckpt.tensors["bbox.w3"]
     with pytest.raises(CheckpointError, match="bbox.w3"):
+        restore_model(ckpt)
+
+
+@pytest.mark.parametrize("entry", ["opt.m.bbox.w3", "opt.v.mllm.tok_emb"])
+def test_restore_rejects_missing_moment(tmp_path, entry):
+    cfg, model, opt, _ = train_briefly()
+    path = tmp_path / "moments.ckpt"
+    save_checkpoint(path, model, opt, iteration=1)
+    ckpt = load_checkpoint(path)
+    del ckpt.tensors[entry]
+    with pytest.raises(CheckpointError, match=entry):
         restore_model(ckpt)
 
 
