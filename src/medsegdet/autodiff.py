@@ -99,6 +99,11 @@ def reset_tape() -> Tape:
     return _STATE.tape
 
 
+def is_grad_enabled() -> bool:
+    """True unless inside ``no_grad``: operations on tensors that require grad record."""
+    return _STATE.grad_enabled
+
+
 class no_grad:
     """Context manager that suppresses tape recording."""
 
@@ -564,47 +569,6 @@ def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
         return (z,)
 
     return _record(out, (a,), grad_fn)
-
-
-# -- kernel dispatch ---------------------------------------------------------
-
-_KERNELS = {
-    "matmul": lambda ins, kw: matmul(*ins),
-    "add": lambda ins, kw: add(*ins),
-    "mul": lambda ins, kw: mul(*ins),
-    "sigmoid": lambda ins, kw: sigmoid(*ins),
-    "softmax-over-last-axis": lambda ins, kw: softmax(*ins),
-    "softmax": lambda ins, kw: softmax(*ins),
-    "relu": lambda ins, kw: relu(*ins),
-    "concat-over-axis": lambda ins, kw: concat(ins, axis=kw.get("axis", 0)),
-    "concat": lambda ins, kw: concat(ins, axis=kw.get("axis", 0)),
-    "sum": lambda ins, kw: tsum(ins[0], axis=kw.get("axis"), keepdims=kw.get("keepdims", False)),
-    "mean": lambda ins, kw: tmean(ins[0], axis=kw.get("axis"), keepdims=kw.get("keepdims", False)),
-    "log": lambda ins, kw: log(*ins),
-    "exp": lambda ins, kw: exp(*ins),
-    "slice": lambda ins, kw: tslice(ins[0], kw["key"]),
-}
-
-
-def kernel_ops(inputs, kind: str, **kwargs) -> Tensor:
-    """Apply one named kernel to ``inputs`` (validating finiteness first).
-
-    ``inputs`` may be a single Tensor or a sequence of Tensors; shape or
-    arity problems raise ShapeError naming the operation and shapes.
-    """
-    if isinstance(inputs, Tensor):
-        inputs = [inputs]
-    inputs = [_as_tensor(t) for t in inputs]
-    if kind not in _KERNELS:
-        raise ValueError(f"kernel_ops: unknown kind {kind!r}")
-    for t in inputs:
-        if not np.all(np.isfinite(t.data)):
-            raise NonFiniteError(f"{kind}: input contains non-finite values")
-    try:
-        return _KERNELS[kind](inputs, kwargs)
-    except TypeError:
-        shapes = [t.shape for t in inputs]
-        raise ShapeError(f"{kind}: wrong number of inputs {shapes}") from None
 
 
 # -- backward ----------------------------------------------------------------

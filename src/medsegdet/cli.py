@@ -51,6 +51,7 @@ from .mllm import (
 )
 from .trainer import (
     CheckpointError,
+    NonFiniteTrainingError,
     TrainConfig,
     init_model,
     load_checkpoint,
@@ -217,10 +218,10 @@ def cmd_train(args) -> int:
         def log_fn(scalars):
             log_file.write(json.dumps(scalars, sort_keys=True) + "\n")
 
-        opt, history = run_training(model, referring, reasoning, cfg, log_fn=log_fn)
-
-    if not np.isfinite(history[-1]["total"]):
-        return _fail(EXIT_NUMERIC, "training diverged: final loss is not finite")
+        try:
+            opt, _ = run_training(model, referring, reasoning, cfg, log_fn=log_fn)
+        except NonFiniteTrainingError as exc:
+            return _fail(EXIT_NUMERIC, f"training diverged at {exc}")
     save_checkpoint(args.out, model, opt, iteration=cfg.total_iters)
     print(f"wrote {args.out} and {log_path}")
     return EXIT_OK

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
+from .mllm import encode_image_patches
 
 DEFAULT_SHARPNESS = 50.0
 
@@ -162,20 +163,9 @@ def soft_box_raster(box: BBox, H: int, W: int, sharpness: float = DEFAULT_SHARPN
 
 def dense_features(image: np.ndarray, patch_size: int, projection: Tensor) -> DenseFeatures:
     """Patchwise linear features on the full grid (the vision-backbone stand-in)."""
-    image = np.asarray(image, dtype=np.float64)
-    H, W = image.shape
-    if H % patch_size or W % patch_size:
-        raise ShapeError(
-            f"dense_features: image {image.shape} not divisible by patch {patch_size}"
-        )
-    gh, gw = H // patch_size, W // patch_size
-    patches = (
-        image.reshape(gh, patch_size, gw, patch_size)
-        .transpose(0, 2, 1, 3)
-        .reshape(gh * gw, patch_size * patch_size)
-    )
-    flat = Tensor(patches) @ projection
-    return DenseFeatures(grid=flat.reshape(gh, gw, projection.shape[1]))
+    rows = encode_image_patches(image, patch_size, projection)
+    H, W = np.shape(image)
+    return DenseFeatures(grid=rows.reshape(H // patch_size, W // patch_size, projection.shape[1]))
 
 
 def mask_decode(

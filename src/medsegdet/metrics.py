@@ -68,8 +68,8 @@ def _as_bool(mask) -> np.ndarray:
     return np.asarray(mask).astype(bool)
 
 
-def mask_iou_dice(pred, gt) -> tuple[float, float]:
-    """(iou, dice); the both-empty pair scores (1, 1)."""
+def _seg_scores(pred, gt) -> tuple[float, float, int, int]:
+    """(iou, dice, intersection, union); the both-empty pair scores (1, 1)."""
     pred = _as_bool(pred)
     gt = _as_bool(gt)
     if pred.shape != gt.shape:
@@ -78,18 +78,13 @@ def mask_iou_dice(pred, gt) -> tuple[float, float]:
     p, g = int(np.count_nonzero(pred)), int(np.count_nonzero(gt))
     union = p + g - inter
     if union == 0:
-        return 1.0, 1.0
-    return inter / union, 2 * inter / (p + g)
+        return 1.0, 1.0, 0, 0
+    return inter / union, 2 * inter / (p + g), inter, union
 
 
-def _intersection_union(pred, gt) -> tuple[int, int]:
-    pred = _as_bool(pred)
-    gt = _as_bool(gt)
-    if pred.shape != gt.shape:
-        raise ShapeError(f"masks disagree: {pred.shape} vs {gt.shape}")
-    inter = int(np.count_nonzero(pred & gt))
-    union = int(np.count_nonzero(pred | gt))
-    return inter, union
+def mask_iou_dice(pred, gt) -> tuple[float, float]:
+    """(iou, dice); the both-empty pair scores (1, 1)."""
+    return _seg_scores(pred, gt)[:2]
 
 
 def aggregate_seg(samples: list[EvalSample]) -> tuple[float, float, float]:
@@ -99,12 +94,11 @@ def aggregate_seg(samples: list[EvalSample]) -> tuple[float, float, float]:
     dices, ious = [], []
     inter_sum = union_sum = 0
     for s in samples:
-        iou, dice = mask_iou_dice(s.pred_mask, s.gt_mask)
+        iou, dice, inter, union = _seg_scores(s.pred_mask, s.gt_mask)
         ious.append(iou)
         dices.append(dice)
-        i, u = _intersection_union(s.pred_mask, s.gt_mask)
-        inter_sum += i
-        union_sum += u
+        inter_sum += inter
+        union_sum += union
     ciou = inter_sum / union_sum if union_sum else 1.0
     # fsum: exactly-rounded sums keep both means permutation invariant
     return math.fsum(dices) / len(dices), math.fsum(ious) / len(ious), ciou

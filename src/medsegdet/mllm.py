@@ -3,7 +3,8 @@
 Embeds image patches as a prefix, runs byte-level text through a small
 pre-norm transformer with prefix-causal masking, and exposes the pieces
 the perception pipeline needs: last-layer hidden states, logits over an
-expandable vocabulary, greedy decoding, and candidate-token extraction.
+expandable vocabulary, greedy decoding (each row fed once, through a
+per-block key/value cache), and candidate-token extraction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class CandidateAbsentError(ValueError):
 
 class DuplicateCandidateError(ValueError):
     """A candidate token occurs more than once in the generated region."""
+
+
+class CacheGradError(RuntimeError):
+    """A KV cache was used while grad is enabled; its plain arrays carry no gradient."""
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def expand_vocabulary(params: ModelParams, n: int, seed: int) -> ModelParams:
 
 
 def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
-    """Flatten non-overlapping patches and project each to a d-vector."""
+    """Flatten non-overlapping patches (row-major) and project each to a d-vector."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ShapeError(f"encode_image_patches: expected 2-D image, got {image.shape}")
@@ -270,9 +275,9 @@ def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor)
 _MASK_CACHE: dict = {}
 
 
-def _prefix_causal_mask(P: int, T: int) -> np.ndarray:
-    """Additive mask: every position sees the image prefix; text is causal."""
-    key = (P, T)
+def _prefix_causal_mask(P: int, T: int, cached: int = 0) -> np.ndarray:
+    """Additive mask: every new row sees the cached rows and the image prefix; text is causal."""
+    key = (P, T, cached)
     m = _MASK_CACHE.get(key)
     if m is None:
         S = P + T
@@ -280,9 +285,25 @@ def _prefix_causal_mask(P: int, T: int) -> np.ndarray:
         allowed[:, :P] = True
         idx = np.arange(S)
         allowed |= idx[None, :] <= idx[:, None]
-        m = np.where(allowed, 0.0, -1e9)
+        m = np.pad(np.where(allowed, 0.0, -1e9), ((0, 0), (cached, 0)))
         _MASK_CACHE[key] = m
     return m
+
+
+class KVCache:
+    """Keys and values of every row fed so far, per block, for no-grad decoding."""
+
+    def __init__(self, cfg: LmConfig):
+        self.rows = 0
+        self.keys = np.empty((cfg.n_blocks, cfg.max_seq, cfg.d_model))
+        self.values = np.empty_like(self.keys)
+
+    def extend(self, block: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store the new rows' keys and values; return those of all rows."""
+        end = self.rows + k.shape[0]
+        self.keys[block, self.rows : end] = k.data
+        self.values[block, self.rows : end] = v.data
+        return Tensor(self.keys[block, :end]), Tensor(self.values[block, :end])
 
 
 def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
@@ -292,12 +313,16 @@ def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     return xc * ad.power(var + eps, -0.5) * g + b
 
 
-def _attention(x: Tensor, blk: BlockParams, mask: np.ndarray, n_heads: int) -> Tensor:
+def _attention(
+    x: Tensor, blk: BlockParams, mask: np.ndarray, n_heads: int, cache: KVCache | None, block: int
+) -> Tensor:
     d = x.shape[1]
     dh = d // n_heads
     q = x @ blk.wq
     k = x @ blk.wk
     v = x @ blk.wv
+    if cache is not None:
+        k, v = cache.extend(block, k, v)
     heads = []
     for h in range(n_heads):
         cols = slice(h * dh, (h + 1) * dh)
@@ -307,30 +332,40 @@ def _attention(x: Tensor, blk: BlockParams, mask: np.ndarray, n_heads: int) -> T
     return ad.concat(heads, axis=1) @ blk.wo
 
 
-def forward(seq: MultimodalSequence, params: ModelParams) -> tuple[Tensor, Tensor]:
+def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None = None) -> tuple[Tensor, Tensor]:
     """Run the transformer; returns (hidden (P+T)×d, logits T×V).
 
     Hidden rows align 1:1 with input positions; logits cover text
-    positions only.
+    positions only.  With a ``cache`` (under ``no_grad`` only), ``seq``
+    holds just the rows not fed yet, and only an empty cache takes image
+    patches.  The new rows take the next positions, see every cached row
+    and are causal among themselves; their keys and values join the cache.
     """
     cfg = params.cfg
     P = seq.num_patches
     T = len(seq.token_ids)
+    n = 0 if cache is None else cache.rows
     if T == 0 and P == 0:
         raise ShapeError("forward: empty sequence")
+    if cache is not None and ad.is_grad_enabled():
+        raise CacheGradError("forward: a KV cache carries no gradient; decode under no_grad")
+    if n and P:
+        raise ShapeError(f"forward: {P} image patches after {n} cached rows")
     if any(t < 0 or t >= params.vocab_size for t in seq.token_ids):
         raise ValueError("forward: token id out of vocabulary")
-    if P + T > cfg.max_seq:
-        raise ShapeError(f"forward: sequence length {P + T} exceeds max_seq {cfg.max_seq}")
+    if n + P + T > cfg.max_seq:
+        raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
 
     emb = ad.embedding_lookup(params.tok_emb, seq.token_ids)
     x = ad.concat([seq.patch_embeddings, emb], axis=0) if P else emb
-    x = x + params.pos_emb[0 : P + T]
-    mask = _prefix_causal_mask(P, T)
-    for blk in params.blocks:
-        x = x + _attention(_layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps), blk, mask, cfg.n_heads)
+    x = x + params.pos_emb[n : n + P + T]
+    mask = _prefix_causal_mask(P, T, n)
+    for i, blk in enumerate(params.blocks):
+        x = x + _attention(_layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps), blk, mask, cfg.n_heads, cache, i)
         h = ad.relu(_layer_norm(x, blk.ln2_g, blk.ln2_b, cfg.ln_eps) @ blk.w1 + blk.b1)
         x = x + h @ blk.w2 + blk.b2
+    if cache is not None:
+        cache.rows = n + P + T
     hidden = x
     logits = hidden[P : P + T] @ params.out_proj.T
     return hidden, logits
@@ -342,22 +377,24 @@ def decode_greedy(
     max_len: int,
     eos_id: int = EOS_ID,
 ) -> list[int]:
-    """Argmax decoding from the prompt; stops after emitting eos_id or max_len."""
+    """Argmax decoding from the prompt; stops after emitting eos_id or max_len.
+
+    Feeds the prompt once, then each new token, through one ``KVCache``.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    cache = KVCache(params.cfg)
+    no_patches = Tensor(np.zeros((0, params.cfg.d_model)))
+    seq = prompt
     generated: list[int] = []
     with ad.no_grad():
         for _ in range(max_len):
-            seq = MultimodalSequence(
-                prompt.patch_embeddings,
-                list(prompt.token_ids) + generated,
-                gen_start=len(prompt.token_ids),
-            )
-            _, logits = forward(seq, params)
+            _, logits = forward(seq, params, cache)
             nxt = int(np.argmax(logits.data[-1]))
             generated.append(nxt)
             if nxt == eos_id:
                 break
+            seq = MultimodalSequence(no_patches, [nxt])
     return generated
 
 

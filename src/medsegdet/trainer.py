@@ -65,6 +65,10 @@ REFERRING_TEMPLATES = (
 )
 
 
+class NonFiniteTrainingError(ArithmeticError):
+    """A training step gave a non-finite loss or non-finite gradients."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr_max: float = 3e-4
@@ -346,7 +350,11 @@ def _sample_losses(model: Model, sample: TrainSample, mode: str) -> dict[str, Te
 def train_step(
     model: Model, batch: list[TrainSample], it: int, cfg: TrainConfig, opt: OptState
 ) -> LossReport:
-    """Forward + losses + one AdamW step over the batch mean."""
+    """Forward + losses + one AdamW step over the batch mean.
+
+    Raises NonFiniteTrainingError, naming the iteration and the parameters
+    AdamW skipped, at a non-finite loss or gradient.
+    """
     if not batch:
         raise ValueError("train_step: empty batch")
     ad.reset_tape()
@@ -363,7 +371,9 @@ def train_step(
     if cfg.mode == "finetune":
         report = compose_ft(report, mean["sim"], js=mean["js"], mse=mean["mse"])
     ad.backward(report.total)
-    adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)
+    skipped = adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)
+    if skipped or not np.isfinite(report.total.data):
+        raise NonFiniteTrainingError(f"iteration {it}: loss {report.total.item()!r}, skipped {skipped}")
     return report
 
 

@@ -10,7 +10,6 @@ from medsegdet.autodiff import (
     Tensor,
     backward,
     finite_difference_check,
-    kernel_ops,
     reset_tape,
 )
 
@@ -18,17 +17,17 @@ from medsegdet.autodiff import (
 def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     i2 = Tensor(np.eye(2))
-    out = kernel_ops([i2, a], "matmul")
+    out = ad.matmul(i2, a)
     assert np.array_equal(out.data, a.data)
 
 
 def test_softmax_symmetry():
-    out = kernel_ops(Tensor([0.0, 0.0, 0.0]), "softmax-over-last-axis")
+    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_sigmoid_zero():
-    out = kernel_ops(Tensor([0.0]), "sigmoid")
+    out = ad.sigmoid(Tensor([0.0]))
     assert out.data[0] == 0.5
 
 
@@ -111,7 +110,7 @@ def test_fd_check_reports_nonfinite():
 
 
 def _kernel_cases(rng):
-    """One scalar-valued probe per kernel kind, on fresh random inputs."""
+    """One scalar-valued probe per op, on fresh random inputs."""
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -124,24 +123,18 @@ def _kernel_cases(rng):
     wmat = rng.normal(size=(3, 3))
 
     return {
-        "matmul": ([a, m], lambda: (kernel_ops([a, m], "matmul") * wmat).sum()),
-        "add": ([a, b], lambda: (kernel_ops([a, b], "add") * wconst).sum()),
-        "mul": ([a, b], lambda: (kernel_ops([a, b], "mul") * wconst).sum()),
-        "sigmoid": ([a], lambda: (kernel_ops([a], "sigmoid") * wconst).sum()),
-        "softmax-over-last-axis": (
-            [a],
-            lambda: (kernel_ops([a], "softmax-over-last-axis") * wconst).sum(),
-        ),
-        "relu": ([r], lambda: (kernel_ops([r], "relu") * wconst).sum()),
-        "concat-over-axis": (
-            [a, b],
-            lambda: (kernel_ops([a, b], "concat-over-axis", axis=0) * np.vstack([wconst, wconst])).sum(),
-        ),
-        "sum": ([a], lambda: (kernel_ops([a], "sum", axis=1) * np.ones(3)).sum()),
-        "mean": ([a], lambda: (kernel_ops([a], "mean", axis=0) * np.ones(4)).sum()),
-        "log": ([pos], lambda: (kernel_ops([pos], "log") * wconst).sum()),
-        "exp": ([a], lambda: (kernel_ops([a], "exp") * wconst).sum()),
-        "slice": ([a], lambda: (kernel_ops([a], "slice", key=(slice(0, 2), slice(1, 3))) * wconst[:2, 1:3]).sum()),
+        "matmul": ([a, m], lambda: (ad.matmul(a, m) * wmat).sum()),
+        "add": ([a, b], lambda: (ad.add(a, b) * wconst).sum()),
+        "mul": ([a, b], lambda: (ad.mul(a, b) * wconst).sum()),
+        "sigmoid": ([a], lambda: (ad.sigmoid(a) * wconst).sum()),
+        "softmax": ([a], lambda: (ad.softmax(a) * wconst).sum()),
+        "relu": ([r], lambda: (ad.relu(r) * wconst).sum()),
+        "concat": ([a, b], lambda: (ad.concat([a, b], axis=0) * np.vstack([wconst, wconst])).sum()),
+        "sum": ([a], lambda: (ad.tsum(a, axis=1) * np.ones(3)).sum()),
+        "mean": ([a], lambda: (ad.tmean(a, axis=0) * np.ones(4)).sum()),
+        "log": ([pos], lambda: (ad.log(pos) * wconst).sum()),
+        "exp": ([a], lambda: (ad.exp(a) * wconst).sum()),
+        "slice": ([a], lambda: (ad.tslice(a, (slice(0, 2), slice(1, 3))) * wconst[:2, 1:3]).sum()),
     }
 
 
@@ -170,13 +163,13 @@ def test_shape_mismatch_diagnostic_names_op_and_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(4, 5\)"):
-        kernel_ops([a, b], "matmul")
+        ad.matmul(a, b)
 
 
-def test_kernel_ops_rejects_nonfinite_input():
+def test_softmax_rejects_nonfinite_input():
     a = Tensor([np.inf, 1.0])
     with pytest.raises(NonFiniteError):
-        kernel_ops([a], "exp")
+        ad.softmax(a)
 
 
 def test_tape_ids_are_unique_and_topological():

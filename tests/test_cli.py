@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from medsegdet import trainer
 from medsegdet.cli import main, sample_from_json
 from medsegdet.datagen import read_jsonl
 from medsegdet.metrics import evaluate_samples
@@ -151,6 +152,17 @@ def test_train_init_architecture_mismatch_is_usage_error(tmp_path, capsys):
                "--out", tmp_path / "y.ckpt")
     assert code == 1
     assert "d_model" in capsys.readouterr().err
+
+
+def test_train_nonfinite_loss_is_numeric_error(tmp_path, capsys, monkeypatch):
+    data = make_data(tmp_path)
+    real = trainer.text_ce_loss
+    monkeypatch.setattr(trainer, "text_ce_loss", lambda *a, **k: real(*a, **k) * float("nan"))
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "nan.ckpt"
+    assert run("train", "--data", data, "--config", cfg, "--out", ckpt) == 3
+    assert "iteration 0" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 # -- eval ----------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.mllm import (
     EOS_ID,
+    CacheGradError,
     CandidateAbsentError,
     DuplicateCandidateError,
+    KVCache,
     LmConfig,
     ModelParams,
     MultimodalSequence,
@@ -190,6 +192,86 @@ def test_decode_greedy_emits_after_eos_ending_prompt():
 def test_decode_greedy_rejects_bad_max_len():
     with pytest.raises(ValueError):
         decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), max_len=0)
+
+
+# -- KV cache -----------------------------------------------------------------
+
+def reference_decode(prompt, params, max_len, eos_id=EOS_ID):
+    """Greedy decoding without a cache: the whole sequence again for every token."""
+    generated = []
+    with ad.no_grad():
+        for _ in range(max_len):
+            _, logits = forward(MultimodalSequence(prompt.patch_embeddings, prompt.token_ids + generated), params)
+            generated.append(int(np.argmax(logits.data[-1])))
+            if generated[-1] == eos_id:
+                break
+    return generated
+
+
+def random_model(cfg, seed):
+    """init_params with random position embeddings, so positions matter."""
+    params = expand_vocabulary(init_params(cfg, seed=seed), 2, seed=seed + 1)
+    params.pos_emb.data[...] = np.random.default_rng(seed + 2).normal(scale=0.5, size=params.pos_emb.shape)
+    return params
+
+
+@pytest.mark.parametrize(
+    "params, prompt, max_len",
+    [
+        (forced_model(7), MultimodalSequence(no_patches(4), [1, 2]), 6),
+        (forced_model(EOS_ID), MultimodalSequence(rand_patches(3, 4), [1, 2]), 6),
+        (random_model(SMALL, 30), MultimodalSequence(rand_patches(4, 8, seed=31), [3, 1, 4, 1, 5]), 20),
+        (random_model(SMALL, 32), MultimodalSequence(rand_patches(2, 8, seed=33), [9, 2, EOS_ID]), 20),
+        (random_model(SMALL, 34), MultimodalSequence(no_patches(8), [7]), 31),
+        (random_model(LmConfig(d_model=8, n_blocks=0, n_heads=2, base_vocab=16, max_seq=32), 36),
+         MultimodalSequence(rand_patches(3, 8, seed=37), [4, 4]), 20),
+    ],
+    ids=["forced", "forced-eos", "two-blocks", "eos-ending-prompt", "text-only-to-max-seq", "no-blocks"],
+)
+def test_cached_decoding_matches_uncached_loop(params, prompt, max_len):
+    assert decode_greedy(prompt, params, max_len) == reference_decode(prompt, params, max_len)
+
+
+def test_row_by_row_cache_matches_full_forward():
+    params = random_model(SMALL, 38)
+    patches = rand_patches(3, 8, seed=39)
+    ids = [4, 1, 15, 2, 7, 16, 17, 0]
+    full_hidden, full_logits = forward(MultimodalSequence(patches, ids), params)
+    cache = KVCache(SMALL)
+    with ad.no_grad():
+        parts = [forward(MultimodalSequence(patches, ids[:1]), params, cache)]
+        parts += [forward(MultimodalSequence(no_patches(8), [t]), params, cache) for t in ids[1:]]
+    assert cache.rows == 3 + len(ids)
+    hidden = np.concatenate([h.data for h, _ in parts])
+    logits = np.concatenate([lg.data for _, lg in parts])
+    np.testing.assert_allclose(hidden, full_hidden.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits, full_logits.data, rtol=0, atol=1e-12)
+
+
+def test_cache_rejects_patches_after_text():
+    params = random_model(SMALL, 40)
+    cache = KVCache(SMALL)
+    with ad.no_grad():
+        forward(MultimodalSequence(rand_patches(2, 8), [1]), params, cache)
+        with pytest.raises(ShapeError, match="patches after"):
+            forward(MultimodalSequence(rand_patches(1, 8), [2]), params, cache)
+
+
+def test_cache_under_enabled_grad_is_rejected():
+    params = random_model(SMALL, 41)
+    with pytest.raises(CacheGradError):
+        forward(MultimodalSequence(no_patches(8), [1]), params, KVCache(SMALL))
+
+
+def test_cache_counts_cached_rows_against_max_seq():
+    params = random_model(SMALL, 42)
+    cache = KVCache(SMALL)
+    with ad.no_grad():
+        forward(MultimodalSequence(rand_patches(4, 8), [1] * (SMALL.max_seq - 5)), params, cache)
+        forward(MultimodalSequence(no_patches(8), [2]), params, cache)
+        assert cache.rows == SMALL.max_seq
+        with pytest.raises(ShapeError, match="exceeds max_seq"):
+            forward(MultimodalSequence(no_patches(8), [3]), params, cache)
 
 
 # -- candidate extraction -----------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import medsegdet.autodiff as ad
+from medsegdet import trainer
 from medsegdet.autodiff import Tensor
 from medsegdet.cli import PRESETS
 from medsegdet.datagen import QAPair, candidate_placeholders, synth_records
@@ -14,13 +15,16 @@ from medsegdet.fusion import FusionConfig
 from medsegdet.losses import LossWeights
 from medsegdet.mllm import build_sequence, encode_image_patches, encode_text, forward
 from medsegdet.trainer import (
+    REFERRING_TEMPLATES,
     Checkpoint,
     CheckpointError,
     Model,
+    NonFiniteTrainingError,
     OptState,
     TrainConfig,
     TrainSample,
     adamw_step,
+    default_answer,
     evaluate_model,
     init_model,
     init_opt_state,
@@ -340,6 +344,23 @@ def test_run_training_is_deterministic():
     assert h[0] == h[1]
 
 
+def test_run_training_stops_at_first_nonfinite_gradient(monkeypatch):
+    cfg, model, records = build_tiny(total_iters=6, warmup_iters=2)
+    real_backward, calls, logged = ad.backward, [], []
+
+    def poisoned(loss):
+        real_backward(loss)
+        calls.append(loss)
+        if len(calls) == 3:  # iteration 2
+            model.lm.tok_emb.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    with pytest.raises(NonFiniteTrainingError, match=r"iteration 2\b.*mllm\.tok_emb"):
+        run_training(model, records, records, cfg, log_fn=logged.append)
+    assert len(calls) == 3
+    assert [e["iter"] for e in logged] == [0, 1]
+
+
 def test_run_training_loss_decreases_and_txt_monotone_tail():
     # single fixed sample: text CE must fall almost monotonically once warm
     cfg = tiny_config(total_iters=120, warmup_iters=10, lr_max=2e-3, mix_ratio=(0, 1))
@@ -647,6 +668,49 @@ def test_evaluate_untrained_model_runs_and_scores_in_range():
         assert 0.0 <= value <= 100.0
     for s in samples:
         assert s.gt_mask.shape == s.pred_mask.shape
+
+
+# decoded ids, report repr and a digest of the predicted masks and boxes of
+# evaluate_model on three records, recorded before greedy decoding used a
+# KV cache (cached rows differ from a full forward in the last bits)
+RECORDED_EVAL = (
+    [
+        [84, 104, 101, 32, 108, 117, 110, 103, 46, 32, 256, 32, 257, 0],
+        [84, 104, 101, 32, 104, 101, 97, 114, 116, 46, 32, 256, 32, 257, 0],
+        [84, 104, 101, 32, 104, 101, 97, 114, 116, 46, 32, 256, 32, 257, 0],
+    ],
+    "MetricReport(dice=59.65937513775036, giou=48.477602868023766, ciou=40.9814323607427, "
+    "box_iou=71.28942793432414, acc=66.66666666666667, count=3, per_category={"
+    "'heart': {'dice': 79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, "
+    "'box_iou': 99.85585926208411, 'acc': 100.0, 'count': 1}, "
+    "'liver': {'dice': 16.99867197875166, 'giou': 9.288824383164005, 'ciou': 9.288824383164005, "
+    "'box_iou': 14.16249675508926, 'acc': 0.0, 'count': 1}, "
+    "'lung': {'dice': 82.26415094339623, 'giou': 69.87179487179486, 'ciou': 69.87179487179486, "
+    "'box_iou': 99.84992778579903, 'acc': 100.0, 'count': 1}})",
+    "cd450c8a5684cb51",
+)
+
+
+def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
+    """Two records trained on with the eval prompt, one unseen; bitwise as recorded."""
+    cfg = tiny_config(lr_max=3e-3, warmup_iters=10, total_iters=200, batch_size=2, max_gen_len=40)
+    records = synth_records(3, seed=3)
+    batch = [
+        TrainSample(r, REFERRING_TEMPLATES[0].format(label=r.label), default_answer(r.label, 2), "referring", r.label)
+        for r in records[:2]
+    ]
+    model = init_model(cfg)
+    opt = init_opt_state(model.trainable())
+    for it in range(cfg.total_iters):
+        train_step(model, batch, it, cfg, opt)
+    generated, real_decode = [], trainer.decode_greedy
+    monkeypatch.setattr(trainer, "decode_greedy", lambda *a: generated.append(real_decode(*a)) or generated[-1])
+    report, samples = evaluate_model(model, records)
+    digest = hashlib.sha256()
+    for s in samples:
+        digest.update(s.pred_mask.tobytes())
+        digest.update(repr(None if s.pred_box is None else s.pred_box.as_floats()).encode())
+    assert (generated, repr(report), digest.hexdigest()[:16]) == RECORDED_EVAL
 
 
 def test_evaluate_rejects_empty():
