@@ -292,58 +292,24 @@ def cmd_eval(args) -> int:
 # -- gradcheck -------------------------------------------------------------------
 
 
-def _fd_max_rel_err(scalar_fn, tensors: dict[str, Tensor], rng, eps: float = 1e-6, max_coords: int = 48) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    Large tensors are spot-checked on a random coordinate subset; the
-    denominator max(1, |a|, |n|) makes the threshold an absolute bound
-    for small gradients and a relative one for large gradients.
-    """
-    ad.reset_tape()
-    out = scalar_fn()
-    ad.backward(out)
-    grads = {n: np.array(t.grad, copy=True) for n, t in tensors.items()}
-    worst = 0.0
-    with ad.no_grad():
-        for name, t in tensors.items():
-            flat = t.data.reshape(-1)
-            g = grads[name].reshape(-1)
-            if flat.size <= max_coords:
-                coords = range(flat.size)
-            else:
-                coords = rng.choice(flat.size, size=max_coords, replace=False)
-            for i in coords:
-                keep = flat[i]
-                flat[i] = keep + eps
-                hi = float(scalar_fn().data)
-                flat[i] = keep - eps
-                lo = float(scalar_fn().data)
-                flat[i] = keep
-                num = (hi - lo) / (2.0 * eps)
-                err = abs(g[i] - num) / max(1.0, abs(g[i]), abs(num))
-                worst = max(worst, err)
-    return worst
-
-
-def _weighted_sum(x: Tensor, rng) -> Tensor:
-    # random fixed projection so every output coordinate influences the scalar
-    w = Tensor(rng.normal(size=x.shape))
-    return (x * w).sum()
-
-
 def gradcheck_suite(seed: int = 0) -> dict[str, float]:
-    """Finite-difference audit of every differentiable unit; name -> max rel err."""
+    """Finite-difference audit of every differentiable unit; name -> max rel err.
+
+    One generator draws each unit's inputs and then the coordinates that
+    ``autodiff.finite_difference_check`` probes for that unit.
+    """
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
     w = LossWeights()
+
+    def check(scalar_fn, tensors, max_coords=48):
+        return ad.finite_difference_check(scalar_fn, tensors, max_coords, rng)
 
     # losses: text cross-entropy
     logits = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
     targets = [int(t) for t in rng.integers(0, 12, size=6)]
     mask = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
-    results["loss.text_ce"] = _fd_max_rel_err(
-        lambda: text_ce_loss(logits, targets, mask), {"logits": logits}, rng
-    )
+    results["loss.text_ce"] = check(lambda: text_ce_loss(logits, targets, mask), [logits])
 
     # losses: mask BCE and Dice on raw logits
     from .decoders import MaskLogits
@@ -351,34 +317,21 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mlogits = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
     gt_mask = rng.uniform(size=(6, 7)) > 0.6
     gt_mask[2, 3] = True  # keep the foreground nonempty
-    results["loss.bce"] = _fd_max_rel_err(
-        lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[0], {"logits": mlogits}, rng
-    )
-    results["loss.dice"] = _fd_max_rel_err(
-        lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[1], {"logits": mlogits}, rng
-    )
+    results["loss.bce"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[0], [mlogits])
+    results["loss.dice"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[1], [mlogits])
 
     # losses: box L1 and GIoU through live corner tensors
-    corners = {
-        "x1": Tensor(0.15, requires_grad=True),
-        "y1": Tensor(0.25, requires_grad=True),
-        "x2": Tensor(0.70, requires_grad=True),
-        "y2": Tensor(0.85, requires_grad=True),
-    }
+    corners = [Tensor(v, requires_grad=True) for v in (0.15, 0.25, 0.70, 0.85)]
     gt_box = BBox(0.30, 0.20, 0.80, 0.75)
-    pred_box = BBox(corners["x1"], corners["y1"], corners["x2"], corners["y2"])
-    results["loss.l1"] = _fd_max_rel_err(lambda: bbox_loss(pred_box, gt_box, w)[0], corners, rng)
-    results["loss.giou"] = _fd_max_rel_err(lambda: bbox_loss(pred_box, gt_box, w)[1], corners, rng)
+    pred_box = BBox(*corners)
+    results["loss.l1"] = check(lambda: bbox_loss(pred_box, gt_box, w)[0], corners)
+    results["loss.giou"] = check(lambda: bbox_loss(pred_box, gt_box, w)[1], corners)
 
     # losses: similarity JS and MSE (reference branch is detached by contract)
     sim_pred = Tensor(rng.normal(size=16), requires_grad=True)
     sim_ref = Tensor(rng.normal(size=16))
-    results["loss.js"] = _fd_max_rel_err(
-        lambda: sim_loss(sim_pred, sim_ref, w)[0], {"sim_pred": sim_pred}, rng
-    )
-    results["loss.mse"] = _fd_max_rel_err(
-        lambda: sim_loss(sim_pred, sim_ref, w)[1], {"sim_pred": sim_pred}, rng
-    )
+    results["loss.js"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[0], [sim_pred])
+    results["loss.mse"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[1], [sim_pred])
 
     # fusion, soft mode: candidates and both router MLPs
     fcfg = FusionConfig(n=3, mode="soft", router_hidden=4)
@@ -396,8 +349,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         fused = fuse_candidates(bundle, router, fcfg)
         return (fused.h_seg * mix_a).sum() + (fused.h_det * mix_b).sum()
 
-    fusion_tensors = {"candidates": cands, **router.named()}
-    results["fusion.soft"] = _fd_max_rel_err(fusion_scalar, fusion_tensors, rng)
+    results["fusion.soft"] = check(fusion_scalar, [cands, *router.named().values()])
 
     # bbox decoder MLP: corner mix catches permuted outputs
     bparams = init_bbox_params(8, hidden=6, seed=seed + 2)
@@ -407,44 +359,32 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         bx = bbox_decode(h_det, bparams)
         return bx.x1 + bx.y1 * 2.0 + bx.x2 * 3.0 + bx.y2 * 4.0
 
-    results["decoder.bbox"] = _fd_max_rel_err(bbox_scalar, {"h_det": h_det, **bparams.named()}, rng)
+    results["decoder.bbox"] = check(bbox_scalar, [h_det, *bparams.named().values()])
 
     # soft box rasterization wrt live corners
-    rcorners = {
-        "x1": Tensor(0.20, requires_grad=True),
-        "y1": Tensor(0.30, requires_grad=True),
-        "x2": Tensor(0.65, requires_grad=True),
-        "y2": Tensor(0.80, requires_grad=True),
-    }
+    rcorners = [Tensor(v, requires_grad=True) for v in (0.20, 0.30, 0.65, 0.80)]
     raster_mix = Tensor(rng.normal(size=(9, 11)))
 
     def raster_scalar():
-        box = BBox(rcorners["x1"], rcorners["y1"], rcorners["x2"], rcorners["y2"])
-        return (soft_box_raster(box, 9, 11, sharpness=25.0) * raster_mix).sum()
+        return (soft_box_raster(BBox(*rcorners), 9, 11, sharpness=25.0) * raster_mix).sum()
 
-    results["decoder.raster"] = _fd_max_rel_err(raster_scalar, rcorners, rng)
+    results["decoder.raster"] = check(raster_scalar, rcorners)
 
     # mask decoder end to end: projection, prompt, box gate, and its own params
     image = rng.uniform(size=(16, 16))
     projection = Tensor(rng.normal(scale=0.5, size=(16, 6)), requires_grad=True)
     mparams = init_mask_decoder_params(feat_dim=6, prompt_dim=5, seed=seed + 3)
     h_seg = Tensor(rng.normal(size=5), requires_grad=True)
-    mcorners = {
-        "x1": Tensor(0.10, requires_grad=True),
-        "y1": Tensor(0.20, requires_grad=True),
-        "x2": Tensor(0.75, requires_grad=True),
-        "y2": Tensor(0.90, requires_grad=True),
-    }
+    mcorners = [Tensor(v, requires_grad=True) for v in (0.10, 0.20, 0.75, 0.90)]
     mask_mix = Tensor(rng.normal(size=(16, 16)))
 
     def mask_scalar():
         feats = dense_features(image, 4, projection)
-        box = BBox(mcorners["x1"], mcorners["y1"], mcorners["x2"], mcorners["y2"])
-        out = mask_decode(feats, h_seg, box, mparams, (16, 16))
+        out = mask_decode(feats, h_seg, BBox(*mcorners), mparams, (16, 16))
         return (out.grid * mask_mix).sum()
 
-    mask_tensors = {"projection": projection, "h_seg": h_seg, **mcorners, **mparams.named()}
-    results["decoder.mask"] = _fd_max_rel_err(mask_scalar, mask_tensors, rng)
+    mask_tensors = [projection, h_seg, *mcorners, *mparams.named().values()]
+    results["decoder.mask"] = check(mask_scalar, mask_tensors)
 
     # 2-block toy LM: full teacher-forced cross-entropy wrt every trainable tensor
     lm_cfg = LmConfig(d_model=16, n_blocks=2, n_heads=2, patch_size=8, max_seq=64)
@@ -466,8 +406,8 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         ce_mask = [1.0 if t + 1 >= seq.gen_start else 0.0 for t in range(T - 1)]
         return text_ce_loss(logits[0 : T - 1], targets, ce_mask)
 
-    lm_tensors = {n: t for n, t in lm.named("lm").items() if t.requires_grad}
-    results["mllm.2block"] = _fd_max_rel_err(lm_scalar, lm_tensors, rng, max_coords=24)
+    lm_tensors = [t for t in lm.named("lm").values() if t.requires_grad]
+    results["mllm.2block"] = check(lm_scalar, lm_tensors, max_coords=24)
 
     return results
 

@@ -58,9 +58,6 @@ class VocabSpec:
         """Text marker for the k-th candidate token (1-based)."""
         return f"<c{k}>"
 
-    def placeholder_suffix(self) -> str:
-        return " ".join(self.placeholder(k + 1) for k in range(self.num_candidates))
-
 
 def encode_text(text: str, vocab: VocabSpec) -> list[int]:
     """UTF-8 bytes, with ``<ck>`` markers mapped to candidate token ids."""
@@ -383,6 +380,8 @@ def decode_greedy(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if not prompt.token_ids:
+        raise ShapeError("decode_greedy: prompt has no text tokens to predict from")
     cache = KVCache(params.cfg)
     no_patches = Tensor(np.zeros((0, params.cfg.d_model)))
     seq = prompt

@@ -1,12 +1,15 @@
 """Tests for the command-line entry points: exit codes, artifacts, determinism."""
 
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from medsegdet import autodiff as ad
 from medsegdet import trainer
-from medsegdet.cli import main, sample_from_json
+from medsegdet.cli import gradcheck_suite, main, sample_from_json
 from medsegdet.datagen import read_jsonl
 from medsegdet.metrics import evaluate_samples
 from medsegdet.trainer import load_checkpoint
@@ -238,3 +241,34 @@ def test_gradcheck_fixed_seed_gives_identical_table(capsys):
     first = capsys.readouterr().out
     run("gradcheck", "--seed", 4)
     assert capsys.readouterr().out == first
+
+
+def taped_primitives():
+    """Every autodiff function that records tape nodes, i.e. calls ``_record``."""
+    return sorted(
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and name != "_record"
+        and "_record(" in inspect.getsource(fn)
+    )
+
+
+@pytest.mark.parametrize("primitive", taped_primitives())
+def test_gradcheck_catches_a_vjp_off_by_a_tenth_of_a_percent(primitive, monkeypatch):
+    # maximum and minimum record through _select, so it stands for both
+    record = ad._record
+
+    def skewed_record(out_data, parents, grad_fn):
+        if sys._getframe(1).f_code.co_name != primitive:
+            return record(out_data, parents, grad_fn)
+
+        def skewed(g):
+            return tuple(None if d is None else d * (1.0 + 1e-3) for d in grad_fn(g))
+
+        return record(out_data, parents, skewed)
+
+    monkeypatch.setattr(ad, "_record", skewed_record)
+    errs = gradcheck_suite(0)
+    assert max(errs.values()) > 1e-4, f"{primitive}: a 0.1 % VJP error passed every unit {errs}"

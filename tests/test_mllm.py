@@ -194,6 +194,12 @@ def test_decode_greedy_rejects_bad_max_len():
         decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), max_len=0)
 
 
+def test_decode_greedy_rejects_prompt_without_text_tokens():
+    prompt = MultimodalSequence(rand_patches(3, 4), [])
+    with pytest.raises(ShapeError, match="decode_greedy"):
+        decode_greedy(prompt, forced_model(7), max_len=3)
+
+
 # -- KV cache -----------------------------------------------------------------
 
 def reference_decode(prompt, params, max_len, eos_id=EOS_ID):
