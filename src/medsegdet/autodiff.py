@@ -310,12 +310,6 @@ def absolute(a: Tensor) -> Tensor:
     return _record(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    out = a.data ** p
-    ad = a.data
-    return _record(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
-
-
 # -- matrix ops --------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -476,6 +470,105 @@ def softmax(a: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _record(out, (a,), grad_fn)
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
+    """Normalize each row over the last axis to zero mean and unit variance,
+    then scale by ``g`` and shift by ``b``; one node with an analytic VJP."""
+    d = x.shape[-1]
+    if g.shape != (d,) or b.shape != (d,):
+        raise ShapeError(f"layer_norm: gain {g.shape} and bias {b.shape} do not match rows of {x.shape}")
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = ((xc * xc).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = xc * rstd
+    gd = g.data
+    lead = tuple(range(x.data.ndim - 1))
+    rx, rg, rb = x.requires_grad, g.requires_grad, b.requires_grad
+
+    def grad_fn(gout):
+        dx = None
+        if rx:
+            gx = gout * gd
+            dx = rstd * (
+                gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            )
+        return (
+            dx,
+            (gout * xhat).sum(axis=lead) if rg else None,
+            gout.sum(axis=lead) if rb else None,
+        )
+
+    return _record(xhat * gd + b.data, (x, g, b), grad_fn)
+
+
+def _split_heads(rows: Array, n_heads: int) -> Array:
+    """(S, H·dh) rows -> (H, S, dh) heads, as a view."""
+    return rows.reshape(rows.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(heads: Array) -> Array:
+    """(H, S, dh) heads -> (S, H·dh) rows."""
+    return heads.transpose(1, 0, 2).reshape(heads.shape[1], -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:
+    """Multi-head softmax attention over sequences packed row-wise, in one node.
+
+    ``segments`` lists ``(P, T, cached)`` per sequence, in row order: the
+    sequence owns ``P + T`` rows of ``q`` and ``cached + P + T`` rows of
+    ``k`` and ``v``, its cached rows first.  A query row sees every cached
+    row and the ``P`` image-prefix rows of its own sequence, and its own
+    text rows causally; it never sees another sequence.  The mask of each
+    segment is built from index comparisons on the fly.
+    """
+    Q, K, V = q.data, k.data, v.data
+    n_q = sum(P + T for P, T, _ in segments)
+    n_k = sum(c + P + T for P, T, c in segments)
+    if Q.ndim != 2 or Q.shape[1] % n_heads or Q.shape[0] != n_q or not (
+        K.shape == V.shape == (n_k, Q.shape[1])
+    ):
+        raise ShapeError(
+            f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {n_heads} heads "
+            f"and segments of {n_q} query / {n_k} key rows"
+        )
+    scale = (Q.shape[1] // n_heads) ** -0.5
+    spans = []  # (query rows, key rows, softmax weights (H, S, M)) per segment
+    out = np.empty_like(Q)
+    qo = ko = 0
+    for P, T, cached in segments:
+        S, M = P + T, cached + P + T
+        qs, ks = slice(qo, qo + S), slice(ko, ko + M)
+        j = np.arange(M)
+        allowed = j <= j[cached:, None]
+        allowed[:, : cached + P] = True
+        scores = _split_heads(Q[qs], n_heads) @ _split_heads(K[ks], n_heads).transpose(0, 2, 1)
+        scores = np.where(allowed, scores * scale, -np.inf)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[qs] = _merge_heads(w @ _split_heads(V[ks], n_heads))
+        spans.append((qs, ks, w))
+        qo, ko = qo + S, ko + M
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def grad_fn(g):
+        dq = np.empty_like(Q) if rq else None
+        dk = np.empty_like(K) if rk else None
+        dv = np.empty_like(V) if rv else None
+        for qs, ks, w in spans:
+            go = _split_heads(g[qs], n_heads)
+            if rv:
+                dv[ks] = _merge_heads(w.transpose(0, 2, 1) @ go)
+            if rq or rk:
+                dw = go @ _split_heads(V[ks], n_heads).transpose(0, 2, 1)
+                ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
+                if rq:
+                    dq[qs] = _merge_heads(ds @ _split_heads(K[ks], n_heads))
+                if rk:
+                    dk[ks] = _merge_heads(ds.transpose(0, 2, 1) @ _split_heads(Q[qs], n_heads))
+        return (dq, dk, dv)
+
+    return _record(out, (q, k, v), grad_fn)
 
 
 def log(a: Tensor) -> Tensor:

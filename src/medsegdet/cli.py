@@ -47,12 +47,14 @@ from .mllm import (
     encode_image_patches,
     encode_text,
     expand_vocabulary,
+    forward_packed,
     init_params,
 )
 from .trainer import (
     CheckpointError,
     NonFiniteTrainingError,
     TrainConfig,
+    answer_ce_loss,
     init_model,
     load_checkpoint,
     restore_model,
@@ -408,6 +410,19 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     lm_tensors = [t for t in lm.named("lm").values() if t.requires_grad]
     results["mllm.2block"] = check(lm_scalar, lm_tensors, max_coords=24)
+
+    # the same LM over two packed sequences of different lengths, the first
+    # with image patches, through the batch's answer cross-entropy
+    no_patches = Tensor(np.zeros((0, lm_cfg.d_model)))
+    text_only = (no_patches, encode_text("b?", vocab), encode_text("no", vocab) + cand_ids[::-1])
+
+    def packed_scalar():
+        patches = encode_image_patches(lm_image, lm_cfg.patch_size, lm.patch_proj)
+        seqs = [build_sequence(patches, prompt_ids, gen_ids, vocab), build_sequence(*text_only, vocab)]
+        hidden, offsets = forward_packed(seqs, lm)
+        return answer_ce_loss(hidden, offsets, seqs, lm.out_proj)
+
+    results["mllm.packed"] = check(packed_scalar, lm_tensors, max_coords=24)
 
     return results
 

@@ -63,8 +63,9 @@ def _as_scalar_tensor(x) -> Tensor:
 def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
     """Mean negative log-likelihood of targets under row-wise softmax.
 
-    ``mask`` (optional, length T, truthy = counted) drops padding
-    positions; rejecting the all-masked case keeps the mean defined.
+    ``mask`` (optional, length T) weighs each position in a weighted mean,
+    so 0 drops a position; rejecting the all-masked case keeps the mean
+    defined.
     """
     target_ids = np.asarray(target_ids, dtype=np.intp)
     T, V = logits.shape

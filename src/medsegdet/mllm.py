@@ -4,7 +4,10 @@ Embeds image patches as a prefix, runs byte-level text through a small
 pre-norm transformer with prefix-causal masking, and exposes the pieces
 the perception pipeline needs: last-layer hidden states, logits over an
 expandable vocabulary, greedy decoding (each row fed once, through a
-per-block key/value cache), and candidate-token extraction.
+per-block key/value cache), and candidate-token extraction.  A batch of
+sequences runs as one row matrix (``forward_packed``, no padding): every
+layer sees each row once, and one attention node per block keeps each
+sequence to its own rows; a single sequence is the one-row-block case.
 """
 
 from __future__ import annotations
@@ -269,24 +272,6 @@ def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor)
     return Tensor(patches) @ projection
 
 
-_MASK_CACHE: dict = {}
-
-
-def _prefix_causal_mask(P: int, T: int, cached: int = 0) -> np.ndarray:
-    """Additive mask: every new row sees the cached rows and the image prefix; text is causal."""
-    key = (P, T, cached)
-    m = _MASK_CACHE.get(key)
-    if m is None:
-        S = P + T
-        allowed = np.zeros((S, S), dtype=bool)
-        allowed[:, :P] = True
-        idx = np.arange(S)
-        allowed |= idx[None, :] <= idx[:, None]
-        m = np.pad(np.where(allowed, 0.0, -1e9), ((0, 0), (cached, 0)))
-        _MASK_CACHE[key] = m
-    return m
-
-
 class KVCache:
     """Keys and values of every row fed so far, per block, for no-grad decoding."""
 
@@ -303,68 +288,76 @@ class KVCache:
         return Tensor(self.keys[block, :end]), Tensor(self.values[block, :end])
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ad.power(var + eps, -0.5) * g + b
+def forward_packed(
+    seqs: list[MultimodalSequence], params: ModelParams, cache: KVCache | None = None
+) -> tuple[Tensor, list[int]]:
+    """Run the transformer over sequences packed row-wise; returns (hidden ΣSᵢ×d, offsets).
 
-
-def _attention(
-    x: Tensor, blk: BlockParams, mask: np.ndarray, n_heads: int, cache: KVCache | None, block: int
-) -> Tensor:
-    d = x.shape[1]
-    dh = d // n_heads
-    q = x @ blk.wq
-    k = x @ blk.wk
-    v = x @ blk.wv
+    Sequence i owns hidden rows ``offsets[i]:offsets[i + 1]``, aligned 1:1
+    with its positions (image patches, then tokens).  Nothing is padded:
+    each layer sees the ΣSᵢ rows once, and the attention node keeps every
+    sequence to its own rows, so a sequence's rows do not depend on the
+    others.  With a ``cache`` (one sequence, under ``no_grad`` only),
+    ``seqs`` holds just the rows not fed yet, and only an empty cache takes
+    image patches.  The new rows take the next positions, see every cached
+    row and are causal among themselves; their keys and values join the
+    cache.
+    """
+    cfg = params.cfg
+    n = 0 if cache is None else cache.rows
+    if not seqs:
+        raise ShapeError("forward_packed: no sequences")
     if cache is not None:
-        k, v = cache.extend(block, k, v)
-    heads = []
-    for h in range(n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
-        scores = (qh @ kh.T) * (dh**-0.5) + mask
-        heads.append(ad.softmax(scores) @ vh)
-    return ad.concat(heads, axis=1) @ blk.wo
+        if ad.is_grad_enabled():
+            raise CacheGradError("forward: a KV cache carries no gradient; decode under no_grad")
+        if len(seqs) != 1:
+            raise ShapeError(f"forward_packed: a KV cache holds one sequence, got {len(seqs)}")
+    # one gather reads token rows from tok_emb and patch rows from the
+    # patches stacked under it
+    segments, rows, positions, patches = [], [], [], []
+    patch_row = params.vocab_size
+    for seq in seqs:
+        P, T = seq.num_patches, len(seq.token_ids)
+        if T == 0 and P == 0:
+            raise ShapeError("forward: empty sequence")
+        if n and P:
+            raise ShapeError(f"forward: {P} image patches after {n} cached rows")
+        if any(t < 0 or t >= params.vocab_size for t in seq.token_ids):
+            raise ValueError("forward: token id out of vocabulary")
+        if n + P + T > cfg.max_seq:
+            raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
+        segments.append((P, T, n))
+        rows.extend(range(patch_row, patch_row + P))
+        rows.extend(seq.token_ids)
+        positions.extend(range(n, n + P + T))
+        if P:
+            patches.append(seq.patch_embeddings)
+            patch_row += P
+    table = ad.concat([params.tok_emb, *patches]) if patches else params.tok_emb
+    x = ad.embedding_lookup(table, rows) + ad.embedding_lookup(params.pos_emb, positions)
+    for i, blk in enumerate(params.blocks):
+        h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps)
+        k, v = h @ blk.wk, h @ blk.wv
+        if cache is not None:
+            k, v = cache.extend(i, k, v)
+        x = x + ad.attention(h @ blk.wq, k, v, segments, cfg.n_heads) @ blk.wo
+        h = ad.relu(ad.layer_norm(x, blk.ln2_g, blk.ln2_b, cfg.ln_eps) @ blk.w1 + blk.b1)
+        x = x + h @ blk.w2 + blk.b2
+    if cache is not None:
+        cache.rows = n + x.shape[0]
+    return x, np.cumsum([0] + [P + T for P, T, _ in segments]).tolist()
 
 
 def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None = None) -> tuple[Tensor, Tensor]:
-    """Run the transformer; returns (hidden (P+T)×d, logits T×V).
+    """Run the transformer on one sequence; returns (hidden (P+T)×d, logits T×V).
 
-    Hidden rows align 1:1 with input positions; logits cover text
-    positions only.  With a ``cache`` (under ``no_grad`` only), ``seq``
-    holds just the rows not fed yet, and only an empty cache takes image
-    patches.  The new rows take the next positions, see every cached row
-    and are causal among themselves; their keys and values join the cache.
+    The one-sequence case of ``forward_packed`` (the cache works as
+    there).  Hidden rows align 1:1 with input positions; logits cover text
+    positions only.
     """
-    cfg = params.cfg
+    hidden, _ = forward_packed([seq], params, cache)
     P = seq.num_patches
-    T = len(seq.token_ids)
-    n = 0 if cache is None else cache.rows
-    if T == 0 and P == 0:
-        raise ShapeError("forward: empty sequence")
-    if cache is not None and ad.is_grad_enabled():
-        raise CacheGradError("forward: a KV cache carries no gradient; decode under no_grad")
-    if n and P:
-        raise ShapeError(f"forward: {P} image patches after {n} cached rows")
-    if any(t < 0 or t >= params.vocab_size for t in seq.token_ids):
-        raise ValueError("forward: token id out of vocabulary")
-    if n + P + T > cfg.max_seq:
-        raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
-
-    emb = ad.embedding_lookup(params.tok_emb, seq.token_ids)
-    x = ad.concat([seq.patch_embeddings, emb], axis=0) if P else emb
-    x = x + params.pos_emb[n : n + P + T]
-    mask = _prefix_causal_mask(P, T, n)
-    for i, blk in enumerate(params.blocks):
-        x = x + _attention(_layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps), blk, mask, cfg.n_heads, cache, i)
-        h = ad.relu(_layer_norm(x, blk.ln2_g, blk.ln2_b, cfg.ln_eps) @ blk.w1 + blk.b1)
-        x = x + h @ blk.w2 + blk.b2
-    if cache is not None:
-        cache.rows = n + P + T
-    hidden = x
-    logits = hidden[P : P + T] @ params.out_proj.T
+    logits = hidden[P : P + len(seq.token_ids)] @ params.out_proj.T
     return hidden, logits
 
 
@@ -397,30 +390,44 @@ def decode_greedy(
     return generated
 
 
+def candidate_bundles(
+    hidden: Tensor, offsets: list[int], seqs: list[MultimodalSequence], vocab: VocabSpec
+) -> list[CandidateBundle]:
+    """Per-candidate hidden rows (in candidate-id order) plus h_img/h_txt of each packed sequence.
+
+    Sequence i owns rows ``offsets[i]:offsets[i + 1]`` of ``hidden``, as
+    ``forward_packed`` returns them.  Each candidate id must occur exactly
+    once in a sequence's generated region.  The candidate rows and the
+    image rows of all sequences are gathered once; each sequence then takes
+    its own block of both.
+    """
+    cand_rows, img_rows = [], []
+    for seq, off in zip(seqs, offsets):
+        gen = seq.token_ids[seq.gen_start :]
+        for cid in vocab.candidate_ids:
+            hits = [i for i, t in enumerate(gen) if t == cid]
+            if not hits:
+                raise CandidateAbsentError(
+                    f"candidate token {cid} absent from the generated region"
+                )
+            if len(hits) > 1:
+                raise DuplicateCandidateError(
+                    f"candidate token {cid} occurs {len(hits)} times in the generated region"
+                )
+            cand_rows.append(off + seq.num_patches + seq.gen_start + hits[0])
+        img_rows.extend(range(off, off + seq.num_patches))
+    cands, imgs = hidden[cand_rows], hidden[img_rows]
+    n, p, bundles = vocab.num_candidates, 0, []
+    for i, seq in enumerate(seqs):
+        P = seq.num_patches
+        text = hidden[offsets[i] + P : offsets[i + 1]]
+        bundles.append(CandidateBundle(cands[i * n : (i + 1) * n], imgs[p : p + P], text))
+        p += P
+    return bundles
+
+
 def extract_candidate_embeddings(
     hidden: Tensor, seq: MultimodalSequence, vocab: VocabSpec
 ) -> CandidateBundle:
-    """Pull per-candidate hidden rows (in candidate-id order) plus h_img/h_txt.
-
-    Each candidate id must occur exactly once in the generated region.
-    """
-    P = seq.num_patches
-    gen = seq.token_ids[seq.gen_start :]
-    rows = []
-    for cid in vocab.candidate_ids:
-        hits = [i for i, t in enumerate(gen) if t == cid]
-        if not hits:
-            raise CandidateAbsentError(
-                f"candidate token {cid} absent from the generated region"
-            )
-        if len(hits) > 1:
-            raise DuplicateCandidateError(
-                f"candidate token {cid} occurs {len(hits)} times in the generated region"
-            )
-        rows.append(hidden[P + seq.gen_start + hits[0]])
-    candidates = ad.concat([r.reshape(1, -1) for r in rows], axis=0)
-    return CandidateBundle(
-        candidates=candidates,
-        h_img=hidden[:P],
-        h_txt=hidden[P:],
-    )
+    """The one-sequence case of ``candidate_bundles``."""
+    return candidate_bundles(hidden, [0, hidden.shape[0]], [seq], vocab)[0]

@@ -1,11 +1,12 @@
 """Optimization and evaluation driver.
 
 Bundles every parameter group into one model container, samples a 7:3
-referring/reasoning mix, runs teacher-forced forward passes through the
-LM, fusion, and both decoders, applies AdamW with warmup-decay, and
-round-trips everything through a binary checkpoint format. The
-fine-tune mode adds a gradient-detached reference forward pass driven by
-the bare-label query and supervises the similarity map against it.
+referring/reasoning mix, runs each batch's teacher-forced sequences
+through the LM in one packed pass and then fusion and both decoders per
+sample, applies AdamW with warmup-decay, and round-trips everything
+through a binary checkpoint format. The fine-tune mode adds a
+gradient-detached reference forward pass driven by the bare-label query
+and supervises the similarity map against it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .decoders import (
     mask_decode,
     similarity_map,
 )
-from .fusion import FusionConfig, RouterParams, fuse_candidates, init_router_params
+from .fusion import CandidateBundle, FusionConfig, RouterParams, fuse_candidates, init_router_params
 from .losses import LossReport, LossWeights, bbox_loss, compose_end, compose_ft, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample, MetricReport, evaluate_samples
 from .mllm import (
@@ -42,12 +43,14 @@ from .mllm import (
     ModelParams,
     VocabSpec,
     build_sequence,
+    candidate_bundles,
     decode_greedy,
     encode_image_patches,
     encode_text,
     expand_vocabulary,
     extract_candidate_embeddings,
     forward,
+    forward_packed,
     init_params,
     MultimodalSequence,
 )
@@ -297,32 +300,39 @@ def adamw_step(
 
 # -- forward / train step -----------------------------------------------------------
 
-def _teacher_forced_pass(model: Model, image: np.ndarray, question: str, answer: str):
-    """Full differentiable pass; returns (seq, hidden, logits, fused, box, sim)."""
-    cfg = model.cfg
-    patches = encode_image_patches(image, cfg.mllm_patch, model.lm.patch_proj)
-    q_ids = encode_text(question, model.vocab)
+def _teacher_forced(model: Model, patches: Tensor, question: str, answer: str) -> MultimodalSequence:
+    """The image prefix, the question and the answer ending in EOS, as one sequence."""
     a_ids = encode_text(answer, model.vocab) + [EOS_ID]
-    seq = build_sequence(patches, q_ids, a_ids, model.vocab)
-    hidden, logits = forward(seq, model.lm)
-    bundle = extract_candidate_embeddings(hidden, seq, model.vocab)
-    fused = fuse_candidates(bundle, model.router, cfg.fusion)
-    box = bbox_decode(fused.h_det, model.bbox)
-    sim = similarity_map(bundle.h_img, fused.h_seg)
-    return seq, hidden, logits, fused, box, sim
+    return build_sequence(patches, encode_text(question, model.vocab), a_ids, model.vocab)
 
 
-def _sample_losses(model: Model, sample: TrainSample, mode: str) -> dict[str, Tensor]:
+def answer_ce_loss(hidden: Tensor, offsets: list[int], seqs, out_proj: Tensor) -> Tensor:
+    """Mean over the packed sequences of each one's mean answer-token cross-entropy.
+
+    Text row t of a sequence predicts token t + 1.  One logits matmul
+    covers the rows that predict a token of the answer (from ``gen_start``
+    on, but never token 0), and each of them weighs 1 / (answer tokens of
+    its sequence) in ``text_ce_loss``'s weighted mean.
+    """
+    rows, targets, weights = [], [], []
+    for seq, off in zip(seqs, offsets):
+        first, T = max(seq.gen_start, 1), len(seq.token_ids)
+        count = T - first
+        if count < 1:
+            raise ValueError("answer_ce_loss: a sequence has no answer token to predict")
+        base = off + seq.num_patches - 1
+        rows.extend(range(base + first, base + T))
+        targets.extend(seq.token_ids[first:])
+        weights.extend([1.0 / count] * count)
+    return text_ce_loss(hidden[rows] @ out_proj.T, targets, weights)
+
+
+def _sample_losses(model: Model, sample: TrainSample, bundle: CandidateBundle, sim_ref) -> dict[str, Tensor]:
+    """Fusion, both decoders and their losses for one sample; the sim terms when ``sim_ref`` is given."""
     cfg = model.cfg
     record = sample.record
-    seq, hidden, logits, fused, box, sim_pred = _teacher_forced_pass(
-        model, record.image, sample.question, sample.answer
-    )
-    T = len(seq.token_ids)
-    targets = seq.token_ids[1:]
-    answer_mask = [1.0 if t + 1 >= seq.gen_start else 0.0 for t in range(T - 1)]
-    txt = text_ce_loss(logits[0 : T - 1], targets, answer_mask)
-
+    fused = fuse_candidates(bundle, model.router, cfg.fusion)
+    box = bbox_decode(fused.h_det, model.bbox)
     feats = dense_features(record.image, cfg.vision_patch, model.vision_proj)
     mlogits = mask_decode(
         feats, fused.h_seg, box, model.maskdec, record.image.shape,
@@ -331,17 +341,11 @@ def _sample_losses(model: Model, sample: TrainSample, mode: str) -> dict[str, Te
     bce, dice, mask_total = mask_loss(mlogits, record.mask, cfg.weights)
     l1, giou, bbox_total = bbox_loss(box, record.box, cfg.weights)
     parts = {
-        "txt": txt, "bce": bce, "dice": dice, "mask": mask_total,
+        "bce": bce, "dice": dice, "mask": mask_total,
         "l1": l1, "giou": giou, "bbox": bbox_total,
     }
-
-    if mode == "finetune":
-        if not sample.x_hat_txt:
-            raise ValueError("finetune sample lacks the non-inference query")
-        with ad.no_grad():
-            _, _, _, _, _, sim_ref = _teacher_forced_pass(
-                model, record.image, sample.x_hat_txt, sample.answer
-            )
+    if sim_ref is not None:
+        sim_pred = similarity_map(bundle.h_img, fused.h_seg)
         js, mse, sim_total = sim_loss(sim_pred, sim_ref, cfg.weights)
         parts.update({"js": js, "mse": mse, "sim": sim_total})
     return parts
@@ -352,23 +356,43 @@ def train_step(
 ) -> LossReport:
     """Forward + losses + one AdamW step over the batch mean.
 
-    Raises NonFiniteTrainingError, naming the iteration and the parameters
-    AdamW skipped, at a non-finite loss or gradient.
+    The batch's sequences go through the LM once, packed row-wise (in
+    fine-tune mode, the reference queries once more under ``no_grad``);
+    fusion, the decoders and their losses run per sample.  Raises
+    NonFiniteTrainingError, naming the iteration and the parameters AdamW
+    skipped, at a non-finite loss or gradient.
     """
     if not batch:
         raise ValueError("train_step: empty batch")
+    finetune = cfg.mode == "finetune"
+    if finetune and not all(s.x_hat_txt for s in batch):
+        raise ValueError("finetune sample lacks the non-inference query")
     ad.reset_tape()
+    patches = [encode_image_patches(s.record.image, cfg.mllm_patch, model.lm.patch_proj) for s in batch]
+    seqs = [_teacher_forced(model, p, s.question, s.answer) for p, s in zip(patches, batch)]
+    hidden, offsets = forward_packed(seqs, model.lm)
+    txt = answer_ce_loss(hidden, offsets, seqs, model.lm.out_proj)
+    sim_refs = [None] * len(batch)
+    if finetune:
+        ref_seqs = [_teacher_forced(model, p, s.x_hat_txt, s.answer) for p, s in zip(patches, batch)]
+        with ad.no_grad():
+            ref_hidden, ref_offsets = forward_packed(ref_seqs, model.lm)
+            sim_refs = [
+                similarity_map(b.h_img, fuse_candidates(b, model.router, cfg.fusion).h_seg)
+                for b in candidate_bundles(ref_hidden, ref_offsets, ref_seqs, model.vocab)
+            ]
     sums: dict[str, Tensor] = {}
-    for sample in batch:
-        for k, v in _sample_losses(model, sample, cfg.mode).items():
+    bundles = candidate_bundles(hidden, offsets, seqs, model.vocab)
+    for sample, bundle, sim_ref in zip(batch, bundles, sim_refs):
+        for k, v in _sample_losses(model, sample, bundle, sim_ref).items():
             sums[k] = v if k not in sums else sums[k] + v
     inv = 1.0 / len(batch)
     mean = {k: v * inv for k, v in sums.items()}
     report = compose_end(
-        mean["txt"], mean["mask"], mean["bbox"],
+        txt, mean["mask"], mean["bbox"],
         bce=mean["bce"], dice=mean["dice"], l1=mean["l1"], giou=mean["giou"],
     )
-    if cfg.mode == "finetune":
+    if finetune:
         report = compose_ft(report, mean["sim"], js=mean["js"], mse=mean["mse"])
     ad.backward(report.total)
     skipped = adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)

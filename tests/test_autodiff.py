@@ -124,6 +124,14 @@ def _kernel_cases(rng):
     r = Tensor(away, requires_grad=True)
     wconst = rng.normal(size=(3, 4))
     wmat = rng.normal(size=(3, 3))
+    gain = Tensor(rng.normal(size=4), requires_grad=True)
+    shift = Tensor(rng.normal(size=4), requires_grad=True)
+    # two packed segments, (P, T, cached): 1 patch + 2 text rows, then 2 text rows after 1 cached row
+    segments = [(1, 2, 0), (0, 2, 1)]
+    q = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    v = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    watt = rng.normal(size=(5, 4))
 
     return {
         "matmul": ([a, m], lambda: (ad.matmul(a, m) * wmat).sum()),
@@ -138,6 +146,8 @@ def _kernel_cases(rng):
         "log": ([pos], lambda: (ad.log(pos) * wconst).sum()),
         "exp": ([a], lambda: (ad.exp(a) * wconst).sum()),
         "slice": ([a], lambda: (ad.tslice(a, (slice(0, 2), slice(1, 3))) * wconst[:2, 1:3]).sum()),
+        "layer_norm": ([a, gain, shift], lambda: (ad.layer_norm(a, gain, shift, 1e-5) * wconst).sum()),
+        "attention": ([q, k, v], lambda: (ad.attention(q, k, v, segments, 2) * watt).sum()),
     }
 
 
@@ -151,6 +161,41 @@ def test_every_kernel_matches_finite_differences_on_100_inputs():
         for kind, (params, f) in cases.items():
             err = finite_difference_check(f, params, max_coords_per_param=4, seed=trial)
             assert err < 1e-4, f"{kind} failed at trial {trial}: {err}"
+
+
+def reference_attention(q, k, v, segments, n_heads):
+    """Attention as a loop over segments and heads with an additive 0 / -1e9 mask."""
+    d = q.shape[1]
+    dh = d // n_heads
+    out, qo, ko = [], 0, 0
+    for P, T, cached in segments:
+        S = P + T
+        allowed = np.zeros((S, S), dtype=bool)
+        allowed[:, :P] = True
+        allowed |= np.arange(S)[None, :] <= np.arange(S)[:, None]
+        mask = np.pad(np.where(allowed, 0.0, -1e9), ((0, 0), (cached, 0)))
+        heads = []
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            qh, kh, vh = q[qo : qo + S, cols], k[ko : ko + cached + S, cols], v[ko : ko + cached + S, cols]
+            scores = qh @ kh.T * dh**-0.5 + mask
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append(e / e.sum(axis=1, keepdims=True) @ vh)
+        out.append(np.concatenate(heads, axis=1))
+        qo, ko = qo + S, ko + cached + S
+    return np.concatenate(out)
+
+
+def test_attention_matches_a_loop_over_segments_and_heads():
+    rng = np.random.default_rng(7)
+    segments = [(3, 4, 0), (0, 5, 0), (2, 1, 0), (0, 3, 6)]
+    n_q = sum(P + T for P, T, _ in segments)
+    n_k = n_q + 6
+    q, k, v = (rng.normal(size=(n, 8)) for n in (n_q, n_k, n_k))
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2)
+    np.testing.assert_allclose(out.data, reference_attention(q, k, v, segments, 2), rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(Tensor(q), Tensor(k[1:]), Tensor(v), segments, 2)
 
 
 BROADCAST_OPS = {

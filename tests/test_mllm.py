@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
@@ -23,6 +25,7 @@ from medsegdet.mllm import (
     expand_vocabulary,
     extract_candidate_embeddings,
     forward,
+    forward_packed,
     init_params,
 )
 
@@ -155,6 +158,46 @@ def test_forward_gradcheck():
     leaves = [t for t in params.named().values() if t.requires_grad]
     err = ad.finite_difference_check(f, leaves, max_coords_per_param=4)
     assert err < 1e-4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 6)).filter(lambda pt: sum(pt) > 0),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_rows_equal_per_sample_forward_and_ignore_other_sequences(shapes, seed):
+    assume(any(T for _, T in shapes))
+    params = random_model(SMALL, 43)
+    rng = np.random.default_rng(seed)
+    seqs = [
+        MultimodalSequence(rand_patches(P, 8, seed=seed + i), rng.integers(0, 18, T).tolist())
+        for i, (P, T) in enumerate(shapes)
+    ]
+    hidden, offsets = forward_packed(seqs, params)
+    assert offsets == np.cumsum([0] + [P + T for P, T in shapes]).tolist()
+    for seq, a, b in zip(seqs, offsets, offsets[1:]):
+        np.testing.assert_allclose(hidden.data[a:b], forward(seq, params)[0].data, rtol=0, atol=1e-12)
+
+    k = int(rng.choice([i for i, (_, T) in enumerate(shapes) if T]))
+    changed = list(seqs)
+    changed[k] = MultimodalSequence(seqs[k].patch_embeddings, [(t + 1) % 18 for t in seqs[k].token_ids])
+    hidden2, _ = forward_packed(changed, params)
+    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if i != k:
+            assert hidden2.data[a:b].tobytes() == hidden.data[a:b].tobytes()
+    assert hidden2.data[offsets[k] : offsets[k + 1]].tobytes() != hidden.data[offsets[k] : offsets[k + 1]].tobytes()
+
+
+def test_forward_packed_rejects_no_sequences_and_a_cache_of_several():
+    params = random_model(SMALL, 44)
+    with pytest.raises(ShapeError, match="no sequences"):
+        forward_packed([], params)
+    seq = MultimodalSequence(no_patches(8), [1])
+    with ad.no_grad(), pytest.raises(ShapeError, match="one sequence"):
+        forward_packed([seq, seq], params, KVCache(SMALL))
 
 
 # -- greedy decoding ----------------------------------------------------------

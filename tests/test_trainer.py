@@ -395,109 +395,110 @@ def test_overfit_step_tape_holds_only_nodes_that_need_grad():
     batch = [next(sampler) for _ in range(cfg.batch_size)]
     train_step(model, batch, 0, cfg, init_opt_state(model.trainable()))
     nodes = ad.active_tape().nodes
-    assert len(nodes) <= 3100
+    assert len(nodes) <= 1600
     assert all(n.grad_fn is not None or n.tensor.requires_grad for n in nodes)
 
 
 # float-hex total losses and per-parameter gradient hashes (sha256 over the
-# gradients of every step, first 16 hex digits), recorded before constants
-# were taken off the tape
+# gradients of every step, first 16 hex digits), recorded when the batch's
+# sequences were first packed into one LM pass (step-0 loss within 3e-16
+# relative and gradients within 3e-15 of the per-sample pass before it)
 RECORDED_STEPS = {
     "end2end": (
-        ("0x1.ecf4ba88fa21fp+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b9p+2"),
+        ("0x1.ecf4ba88fa221p+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b9p+2"),
         {
-            "mllm.tok_emb": "cdf70e947e9b8a3c",
-            "mllm.pos_emb": "e9d7e4f29fbdfac6",
-            "mllm.out_proj": "e7d77b10ff286b00",
-            "mllm.blocks.0.ln1_g": "a64bcdb115b54d58",
-            "mllm.blocks.0.ln1_b": "bd1d5e71385e690c",
-            "mllm.blocks.0.wq": "7a7c91967e78ca77",
-            "mllm.blocks.0.wk": "0cae175d6694a50c",
-            "mllm.blocks.0.wv": "e03928daf3039624",
-            "mllm.blocks.0.wo": "f03ee5b497dca50f",
-            "mllm.blocks.0.ln2_g": "180b843471b609b7",
-            "mllm.blocks.0.ln2_b": "795598a8269127e3",
-            "mllm.blocks.0.w1": "c3de92f54b58b571",
-            "mllm.blocks.0.b1": "3fc8d0ba132c4645",
-            "mllm.blocks.0.w2": "d74c2166f83515eb",
-            "mllm.blocks.0.b2": "c9e5eafa2a8afb60",
-            "mllm.blocks.1.ln1_g": "5d1c3338b05ebaf6",
-            "mllm.blocks.1.ln1_b": "02daf912d7e02ebe",
-            "mllm.blocks.1.wq": "ab28c13554428420",
-            "mllm.blocks.1.wk": "2acc47628098c146",
-            "mllm.blocks.1.wv": "d8f868ab096b5ba2",
-            "mllm.blocks.1.wo": "12855ca953e5b3bf",
-            "mllm.blocks.1.ln2_g": "d7f9a250db2bef53",
-            "mllm.blocks.1.ln2_b": "220a91e985bb2070",
-            "mllm.blocks.1.w1": "df2ab632801d3626",
-            "mllm.blocks.1.b1": "c791bb4f4c1f9834",
-            "mllm.blocks.1.w2": "9a4a5aac09a09452",
-            "mllm.blocks.1.b2": "35a17cc8453febc5",
-            "router.seg_w1": "c989bf803e623266",
-            "router.seg_b1": "21759179bd6977e7",
-            "router.seg_w2": "96d5316e3b7edd93",
-            "router.seg_b2": "b876aa7c5ba2500b",
-            "router.det_w1": "31db98f490822e3d",
-            "router.det_b1": "c93f66f64a51bbd2",
-            "router.det_w2": "560f259c8bb9b4db",
-            "router.det_b2": "87a9198186e87e41",
-            "bbox.w1": "619c77b9742f2013",
-            "bbox.b1": "930d8bef933ff12e",
-            "bbox.w2": "37b83b7996289fff",
-            "bbox.b2": "fee23bde06eb9e20",
-            "bbox.w3": "7f65e581b27221e3",
-            "bbox.b3": "543dfb89aa7fa1d2",
-            "maskdec.w_p": "57a292d8787acfa7",
-            "maskdec.gamma": "bc5bc71d5d5a2ed6",
-            "maskdec.b": "2e82f2d4934c11a5",
+            "mllm.tok_emb": "2b431b1f6ab5a395",
+            "mllm.pos_emb": "c25d6335cbd8a461",
+            "mllm.out_proj": "e7a86ded98e01a7a",
+            "mllm.blocks.0.ln1_g": "06c1b4869bb2da8c",
+            "mllm.blocks.0.ln1_b": "541b4e0337449c73",
+            "mllm.blocks.0.wq": "f69a176b2ee70d51",
+            "mllm.blocks.0.wk": "e4e2bb773c12f311",
+            "mllm.blocks.0.wv": "b2e5e94ea83e7c62",
+            "mllm.blocks.0.wo": "4deb3830f06b35a1",
+            "mllm.blocks.0.ln2_g": "ace49d6db8cb8cac",
+            "mllm.blocks.0.ln2_b": "791c53db712f8413",
+            "mllm.blocks.0.w1": "21979b8092d8a960",
+            "mllm.blocks.0.b1": "4ae93738ee13696d",
+            "mllm.blocks.0.w2": "8a7869d1fd78bcf4",
+            "mllm.blocks.0.b2": "956e6f01540bdb29",
+            "mllm.blocks.1.ln1_g": "3b641d07476a73be",
+            "mllm.blocks.1.ln1_b": "b10c479d354c8977",
+            "mllm.blocks.1.wq": "2f2a28ed47c72f97",
+            "mllm.blocks.1.wk": "20efff183df5ef1e",
+            "mllm.blocks.1.wv": "a0241065554c2c9c",
+            "mllm.blocks.1.wo": "2355db0b993d24d0",
+            "mllm.blocks.1.ln2_g": "153e1b0e2f402177",
+            "mllm.blocks.1.ln2_b": "217566b0e23caf3d",
+            "mllm.blocks.1.w1": "e0caa0c98b91b818",
+            "mllm.blocks.1.b1": "714ebfee8a7cc091",
+            "mllm.blocks.1.w2": "58be5a0fd78410ff",
+            "mllm.blocks.1.b2": "743c1886ddbab594",
+            "router.seg_w1": "d9e525fa15fd4566",
+            "router.seg_b1": "ffb135fd825ba05a",
+            "router.seg_w2": "e38ef06a5b5cdb0d",
+            "router.seg_b2": "260c8f586ee590a6",
+            "router.det_w1": "0cdb73dbec9042e4",
+            "router.det_b1": "39b02c7c141d288d",
+            "router.det_w2": "d4e78e702c8fd4f7",
+            "router.det_b2": "3219ddc42f1f2586",
+            "bbox.w1": "06fbb309d4ec0b45",
+            "bbox.b1": "3528d2f5dfd71c4a",
+            "bbox.w2": "2bdc8ceaed5d1142",
+            "bbox.b2": "306458e001ab7e3b",
+            "bbox.w3": "4790923b8b8c5e0f",
+            "bbox.b3": "7ee0b327ef3171ff",
+            "maskdec.w_p": "e1737baacfb6e85b",
+            "maskdec.gamma": "97a2a1a99cef603a",
+            "maskdec.b": "1b614a538ff04074",
         },
     ),
     "finetune": (
-        ("0x1.84c1af5aa3d0dp+7", "0x1.052ed1f53d2ddp+8"),
+        ("0x1.84c1af5aa3d0cp+7", "0x1.052ed1f53d2e2p+8"),
         {
-            "mllm.tok_emb": "2d0c0775d6ef6040",
-            "mllm.pos_emb": "f7e52d7d720b2622",
-            "mllm.out_proj": "d8a3e8397c9d2228",
-            "mllm.blocks.0.ln1_g": "2110011880aa6607",
-            "mllm.blocks.0.ln1_b": "704e0258abf759f3",
-            "mllm.blocks.0.wq": "94adc6f0ba10ebe4",
-            "mllm.blocks.0.wk": "836dd701c19cedf9",
-            "mllm.blocks.0.wv": "00cd1dce67ab9c1f",
-            "mllm.blocks.0.wo": "70191b6969e66b38",
-            "mllm.blocks.0.ln2_g": "84c3dcb74b297167",
-            "mllm.blocks.0.ln2_b": "daab7479eea2d6b7",
-            "mllm.blocks.0.w1": "3c4344fa7f7dd9bc",
-            "mllm.blocks.0.b1": "664ab1be88b8af9e",
-            "mllm.blocks.0.w2": "62d6d5337bda2f1c",
-            "mllm.blocks.0.b2": "f563e2a51f4137fa",
-            "mllm.blocks.1.ln1_g": "84da6b699a4b7454",
-            "mllm.blocks.1.ln1_b": "93367c2809233796",
-            "mllm.blocks.1.wq": "dfe925a4c9403b71",
-            "mllm.blocks.1.wk": "efea76e0343fa2e0",
-            "mllm.blocks.1.wv": "0683e9a600cc3f31",
-            "mllm.blocks.1.wo": "98c8ec0d98d7360e",
-            "mllm.blocks.1.ln2_g": "63512fb94c3fc4ef",
-            "mllm.blocks.1.ln2_b": "c816132eb9dbcfee",
-            "mllm.blocks.1.w1": "947d089d8a552e72",
-            "mllm.blocks.1.b1": "7d7766c7ed0ca3e2",
-            "mllm.blocks.1.w2": "076790706c608f5f",
-            "mllm.blocks.1.b2": "fce11edb5ff44e60",
-            "router.seg_w1": "5f5f4fa3f4507943",
-            "router.seg_b1": "b259f67fa3b74f7a",
-            "router.seg_w2": "383ceef81999cdbb",
-            "router.seg_b2": "e58853dc32b6048e",
-            "router.det_w1": "9dcccbab04ed361d",
-            "router.det_b1": "d06d2ef4e796fc1f",
-            "router.det_w2": "52739ff3c18fcb70",
-            "router.det_b2": "315e672fedfac663",
-            "bbox.w1": "74f56fdeebb2dc40",
-            "bbox.b1": "f85725b6488ae78f",
-            "bbox.w2": "a1cdacef00fcc4ac",
-            "bbox.b2": "9eee5c7baa355494",
-            "bbox.w3": "76202a1d597ba479",
-            "bbox.b3": "15540c1f2a8f86aa",
-            "maskdec.w_p": "26d647d6ff1e9596",
-            "maskdec.gamma": "036de3e6e1a27030",
+            "mllm.tok_emb": "0e816c06189f8a98",
+            "mllm.pos_emb": "ee6973ae92a44569",
+            "mllm.out_proj": "3cfee9fd73deaa80",
+            "mllm.blocks.0.ln1_g": "f5f37b940476454a",
+            "mllm.blocks.0.ln1_b": "df2d458fa4701a36",
+            "mllm.blocks.0.wq": "35b2f64108b8dfc5",
+            "mllm.blocks.0.wk": "e3dcb6e141f2fecc",
+            "mllm.blocks.0.wv": "055294669ba158e5",
+            "mllm.blocks.0.wo": "5c32f9d6d84bc9d2",
+            "mllm.blocks.0.ln2_g": "058782e866ab2537",
+            "mllm.blocks.0.ln2_b": "e90af3c16012d1f2",
+            "mllm.blocks.0.w1": "1fe2a2c67b6bce42",
+            "mllm.blocks.0.b1": "ec82460a752f0e58",
+            "mllm.blocks.0.w2": "0ab0b9d1d3d6494f",
+            "mllm.blocks.0.b2": "2746cc84be382099",
+            "mllm.blocks.1.ln1_g": "02ed942b3f5297db",
+            "mllm.blocks.1.ln1_b": "7422c447e10b5da2",
+            "mllm.blocks.1.wq": "394803cc38ec45a8",
+            "mllm.blocks.1.wk": "00e19830601ebe72",
+            "mllm.blocks.1.wv": "fd35a7c1ab30e884",
+            "mllm.blocks.1.wo": "79d6972b67b099c1",
+            "mllm.blocks.1.ln2_g": "f41d4deeb90349a8",
+            "mllm.blocks.1.ln2_b": "8f4aa28108b4874e",
+            "mllm.blocks.1.w1": "b9337664eef70cb6",
+            "mllm.blocks.1.b1": "517f6194a039d039",
+            "mllm.blocks.1.w2": "5243b91b4471cde4",
+            "mllm.blocks.1.b2": "cf23b27b147ef63a",
+            "router.seg_w1": "8d64d5658cead8da",
+            "router.seg_b1": "aecff133894d003a",
+            "router.seg_w2": "9ca1b80dfadec6ad",
+            "router.seg_b2": "25f24d7da2c34eaa",
+            "router.det_w1": "d3fe8e5e8033e2f8",
+            "router.det_b1": "912e95a22bdbadfb",
+            "router.det_w2": "4e08d0c978b7b635",
+            "router.det_b2": "e2b3617262c265df",
+            "bbox.w1": "d46cb9bd4d480947",
+            "bbox.b1": "2e6e9a7a111fb945",
+            "bbox.w2": "5f102697dd66a5b2",
+            "bbox.b2": "35ccb3fa9722b2a6",
+            "bbox.w3": "5554e1ea6badd4a1",
+            "bbox.b3": "e98949ed75ef974b",
+            "maskdec.w_p": "b15a7ea72aa0332e",
+            "maskdec.gamma": "f5a24cfc75c56283",
             "maskdec.b": "e2ec552f51ed4587",
         },
     ),
@@ -671,8 +672,9 @@ def test_evaluate_untrained_model_runs_and_scores_in_range():
 
 
 # decoded ids, report repr and a digest of the predicted masks and boxes of
-# evaluate_model on three records, recorded before greedy decoding used a
-# KV cache (cached rows differ from a full forward in the last bits)
+# evaluate_model on three records, recorded with the packed training pass and
+# the fused attention node (ids, masks, Dice and accuracy as before; box IoU
+# moved by ~3e-10)
 RECORDED_EVAL = (
     [
         [84, 104, 101, 32, 108, 117, 110, 103, 46, 32, 256, 32, 257, 0],
@@ -680,14 +682,14 @@ RECORDED_EVAL = (
         [84, 104, 101, 32, 104, 101, 97, 114, 116, 46, 32, 256, 32, 257, 0],
     ],
     "MetricReport(dice=59.65937513775036, giou=48.477602868023766, ciou=40.9814323607427, "
-    "box_iou=71.28942793432414, acc=66.66666666666667, count=3, per_category={"
+    "box_iou=71.28942793429745, acc=66.66666666666667, count=3, per_category={"
     "'heart': {'dice': 79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, "
-    "'box_iou': 99.85585926208411, 'acc': 100.0, 'count': 1}, "
+    "'box_iou': 99.85585926193498, 'acc': 100.0, 'count': 1}, "
     "'liver': {'dice': 16.99867197875166, 'giou': 9.288824383164005, 'ciou': 9.288824383164005, "
-    "'box_iou': 14.16249675508926, 'acc': 0.0, 'count': 1}, "
+    "'box_iou': 14.16249675518379, 'acc': 0.0, 'count': 1}, "
     "'lung': {'dice': 82.26415094339623, 'giou': 69.87179487179486, 'ciou': 69.87179487179486, "
-    "'box_iou': 99.84992778579903, 'acc': 100.0, 'count': 1}})",
-    "cd450c8a5684cb51",
+    "'box_iou': 99.84992778577354, 'acc': 100.0, 'count': 1}})",
+    "c2fc4e6273dc1ee8",
 )
 
 
