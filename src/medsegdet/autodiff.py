@@ -130,6 +130,8 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_epoch", "_node_id")
+    # numpy defers to the reflected operators, so ``array - tensor`` records
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -313,33 +315,30 @@ def absolute(a: Tensor) -> Tensor:
 # -- matrix ops --------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with numpy's rules: a 1-D operand is a row (left) or a
+    column (right) vector, and leading axes broadcast as a batch of matrices."""
     A, B = a.data, b.data
-    if A.ndim not in (1, 2) or B.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {a.shape} and {b.shape}")
+    if A.ndim == 0 or B.ndim == 0:
+        raise ShapeError(f"matmul: scalar operand, got {a.shape} and {b.shape}")
     a2 = A[None, :] if A.ndim == 1 else A
     b2 = B[:, None] if B.ndim == 1 else B
-    if a2.shape[1] != b2.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out2 = a2 @ b2
-    out = out2
+    try:
+        out2 = np.matmul(a2, b2)
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+    out = out2[..., 0] if B.ndim == 1 else out2
     if A.ndim == 1:
-        out = out[0]
-    if B.ndim == 1:
-        out = out[..., 0] if A.ndim == 1 else out[:, 0]
+        out = out[..., 0] if B.ndim == 1 else out[..., 0, :]
 
     ra, rb = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        g2 = g.reshape(out2.shape)
         da = db = None
         if ra:
-            da = g2 @ b2.T
-            if A.ndim == 1:
-                da = da[0]
+            da = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(A.shape)
         if rb:
-            db = a2.T @ g2
-            if B.ndim == 1:
-                db = db[:, 0]
+            db = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(B.shape)
         return (da, db)
 
     return _record(out, (a, b), grad_fn)
@@ -637,25 +636,29 @@ def _bilinear_indices(h: int, w: int, H: int, W: int):
 
 
 def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
-    """Bilinearly resample a 2-D grid to ``out_hw`` (pixel-center alignment)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"bilinear_upsample: expected 2-D grid, got {a.shape}")
-    h, w = a.shape
+    """Bilinearly resample the last two axes to ``out_hw`` (pixel-center alignment)."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"bilinear_upsample: expected a grid of at least 2 axes, got {a.shape}")
+    h, w = a.shape[-2:]
     H, W = out_hw
     if h == H and w == W:
         return _record(a.data.copy(), (a,), lambda g: (g,))
     i0, i1, ty, j0, j1, tx = _bilinear_indices(h, w, H, W)
     x = a.data
-    top = (1.0 - tx) * x[np.ix_(i0, j0)] + tx * x[np.ix_(i0, j1)]
-    bot = (1.0 - tx) * x[np.ix_(i1, j0)] + tx * x[np.ix_(i1, j1)]
+    # the four neighbours of every output pixel, as index tuples on the last two axes
+    k00, k01 = (..., i0[:, None], j0), (..., i0[:, None], j1)
+    k10, k11 = (..., i1[:, None], j0), (..., i1[:, None], j1)
+    top = (1.0 - tx) * x[k00] + tx * x[k01]
+    bot = (1.0 - tx) * x[k10] + tx * x[k11]
     out = (1.0 - ty) * top + ty * bot
+    shape = a.shape
 
     def grad_fn(g):
-        z = np.zeros((h, w))
-        np.add.at(z, np.ix_(i0, j0), g * (1.0 - ty) * (1.0 - tx))
-        np.add.at(z, np.ix_(i0, j1), g * (1.0 - ty) * tx)
-        np.add.at(z, np.ix_(i1, j0), g * ty * (1.0 - tx))
-        np.add.at(z, np.ix_(i1, j1), g * ty * tx)
+        z = np.zeros(shape)
+        np.add.at(z, k00, g * (1.0 - ty) * (1.0 - tx))
+        np.add.at(z, k01, g * (1.0 - ty) * tx)
+        np.add.at(z, k10, g * ty * (1.0 - tx))
+        np.add.at(z, k11, g * ty * tx)
         return (z,)
 
     return _record(out, (a,), grad_fn)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .datagen import (
     MockOracle,
     dataset_stats,
@@ -30,6 +30,7 @@ from .datagen import (
 )
 from .decoders import (
     BBox,
+    MaskLogits,
     bbox_decode,
     dense_features,
     init_bbox_params,
@@ -51,12 +52,18 @@ from .mllm import (
     init_params,
 )
 from .trainer import (
+    REFERRING_TEMPLATES,
     CheckpointError,
     NonFiniteTrainingError,
     TrainConfig,
+    TrainSample,
     answer_ce_loss,
+    batch_losses,
+    default_answer,
     init_model,
     load_checkpoint,
+    one_image_shape,
+    reference_maps,
     restore_model,
     run_training,
     save_checkpoint,
@@ -189,6 +196,10 @@ def cmd_train(args) -> int:
     records = read_jsonl(data_file)
     if not records:
         return _fail(EXIT_DATA, f"empty training split {data_file}")
+    try:
+        one_image_shape(records)  # a training batch runs as one (B, H, W) stack
+    except ShapeError as exc:
+        return _fail(EXIT_DATA, f"training split {data_file}: {exc}")
 
     referring = records
     reasoning = training_ready(records)
@@ -313,39 +324,32 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mask = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
     results["loss.text_ce"] = check(lambda: text_ce_loss(logits, targets, mask), [logits])
 
-    # losses: mask BCE and Dice on raw logits
-    from .decoders import MaskLogits
-
-    mlogits = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
-    gt_mask = rng.uniform(size=(6, 7)) > 0.6
-    gt_mask[2, 3] = True  # keep the foreground nonempty
+    # losses: mask BCE and Dice on a batch of two logit grids
+    mlogits = Tensor(rng.normal(size=(2, 6, 7)), requires_grad=True)
+    gt_mask = rng.uniform(size=(2, 6, 7)) > 0.6
+    gt_mask[:, 2, 3] = True  # keep each foreground nonempty
     results["loss.bce"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[0], [mlogits])
     results["loss.dice"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[1], [mlogits])
 
-    # losses: box L1 and GIoU through live corner tensors
-    corners = [Tensor(v, requires_grad=True) for v in (0.15, 0.25, 0.70, 0.85)]
-    gt_box = BBox(0.30, 0.20, 0.80, 0.75)
-    pred_box = BBox(*corners)
-    results["loss.l1"] = check(lambda: bbox_loss(pred_box, gt_box, w)[0], corners)
-    results["loss.giou"] = check(lambda: bbox_loss(pred_box, gt_box, w)[1], corners)
+    # losses: box L1 and GIoU through a batch of two live corner rows
+    corners = Tensor([[0.15, 0.25, 0.70, 0.85], [0.05, 0.40, 0.50, 0.60]], requires_grad=True)
+    gt_boxes = [[0.30, 0.20, 0.80, 0.75], [0.10, 0.30, 0.60, 0.90]]
+    results["loss.l1"] = check(lambda: bbox_loss(corners, gt_boxes, w)[0], [corners])
+    results["loss.giou"] = check(lambda: bbox_loss(corners, gt_boxes, w)[1], [corners])
 
-    # losses: similarity JS and MSE (reference branch is detached by contract)
-    sim_pred = Tensor(rng.normal(size=16), requires_grad=True)
-    sim_ref = Tensor(rng.normal(size=16))
+    # losses: similarity JS and MSE over two maps (reference branch is detached by contract)
+    sim_pred = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
+    sim_ref = Tensor(rng.normal(size=(2, 16)))
     results["loss.js"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[0], [sim_pred])
     results["loss.mse"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[1], [sim_pred])
 
-    # fusion, soft mode: candidates and both router MLPs
+    # fusion, soft mode: two samples' candidates and both router MLPs
     fcfg = FusionConfig(n=3, mode="soft", router_hidden=4)
     router = init_router_params(fcfg, d=8, seed=seed + 1)
-    cands = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-    bundle = CandidateBundle(
-        candidates=cands,
-        h_img=Tensor(rng.normal(size=(5, 8))),
-        h_txt=Tensor(rng.normal(size=(2, 8))),
-    )
-    mix_a = Tensor(rng.normal(size=8))
-    mix_b = Tensor(rng.normal(size=8))
+    cands = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+    bundle = CandidateBundle(candidates=cands, h_img=Tensor(rng.normal(size=(2, 5, 8))))
+    mix_a = rng.normal(size=(2, 8))
+    mix_b = rng.normal(size=(2, 8))
 
     def fusion_scalar():
         fused = fuse_candidates(bundle, router, fcfg)
@@ -353,39 +357,37 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     results["fusion.soft"] = check(fusion_scalar, [cands, *router.named().values()])
 
-    # bbox decoder MLP: corner mix catches permuted outputs
+    # bbox decoder MLP: a random corner mix catches permuted outputs
     bparams = init_bbox_params(8, hidden=6, seed=seed + 2)
-    h_det = Tensor(rng.normal(size=8), requires_grad=True)
-
-    def bbox_scalar():
-        bx = bbox_decode(h_det, bparams)
-        return bx.x1 + bx.y1 * 2.0 + bx.x2 * 3.0 + bx.y2 * 4.0
-
-    results["decoder.bbox"] = check(bbox_scalar, [h_det, *bparams.named().values()])
+    h_det = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    box_mix = rng.normal(size=(2, 4))
+    results["decoder.bbox"] = check(
+        lambda: (bbox_decode(h_det, bparams) * box_mix).sum(), [h_det, *bparams.named().values()]
+    )
 
     # soft box rasterization wrt live corners
-    rcorners = [Tensor(v, requires_grad=True) for v in (0.20, 0.30, 0.65, 0.80)]
-    raster_mix = Tensor(rng.normal(size=(9, 11)))
+    rcorners = Tensor([[0.20, 0.30, 0.65, 0.80], [0.10, 0.05, 0.50, 0.45]], requires_grad=True)
+    raster_mix = rng.normal(size=(2, 9, 11))
 
     def raster_scalar():
-        return (soft_box_raster(BBox(*rcorners), 9, 11, sharpness=25.0) * raster_mix).sum()
+        return (soft_box_raster(rcorners, 9, 11, sharpness=25.0) * raster_mix).sum()
 
-    results["decoder.raster"] = check(raster_scalar, rcorners)
+    results["decoder.raster"] = check(raster_scalar, [rcorners])
 
-    # mask decoder end to end: projection, prompt, box gate, and its own params
-    image = rng.uniform(size=(16, 16))
+    # mask decoder end to end: projection, prompts, box gates, and its own params
+    images = rng.uniform(size=(2, 16, 16))
     projection = Tensor(rng.normal(scale=0.5, size=(16, 6)), requires_grad=True)
     mparams = init_mask_decoder_params(feat_dim=6, prompt_dim=5, seed=seed + 3)
-    h_seg = Tensor(rng.normal(size=5), requires_grad=True)
-    mcorners = [Tensor(v, requires_grad=True) for v in (0.10, 0.20, 0.75, 0.90)]
-    mask_mix = Tensor(rng.normal(size=(16, 16)))
+    h_seg = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    mcorners = Tensor([[0.10, 0.20, 0.75, 0.90], [0.30, 0.15, 0.85, 0.60]], requires_grad=True)
+    mask_mix = rng.normal(size=(2, 16, 16))
 
     def mask_scalar():
-        feats = dense_features(image, 4, projection)
-        out = mask_decode(feats, h_seg, BBox(*mcorners), mparams, (16, 16))
+        feats = dense_features(images, 4, projection)
+        out = mask_decode(feats, h_seg, mcorners, mparams, (16, 16))
         return (out.grid * mask_mix).sum()
 
-    mask_tensors = [projection, h_seg, *mcorners, *mparams.named().values()]
+    mask_tensors = [projection, h_seg, mcorners, *mparams.named().values()]
     results["decoder.mask"] = check(mask_scalar, mask_tensors)
 
     # 2-block toy LM: full teacher-forced cross-entropy wrt every trainable tensor
@@ -423,6 +425,23 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         return answer_ce_loss(hidden, offsets, seqs, lm.out_proj)
 
     results["mllm.packed"] = check(packed_scalar, lm_tensors, max_coords=24)
+
+    # a whole training batch's loss in both modes, through the code that
+    # train_step runs; the fine-tune reference maps are computed once and
+    # held fixed, as the tape treats them as constants
+    tcfg = TrainConfig(
+        d_model=16, n_blocks=1, n_heads=2, mllm_patch=8, vision_patch=2, vision_dim=4,
+        max_seq=64, batch_size=3, seed=seed + 6,
+    )
+    model = init_model(tcfg)
+    batch = [
+        TrainSample(r, REFERRING_TEMPLATES[0].format(label=r.label), default_answer(r.label, 2), "referring", r.label)
+        for r in synth_records(3, seed + 7, hw=(16, 16))
+    ]
+    step_tensors = list(model.trainable().values())
+    results["train.step"] = check(lambda: batch_losses(model, batch).total, step_tensors, max_coords=3)
+    sim_ref = reference_maps(model, batch)
+    results["train.step.ft"] = check(lambda: batch_losses(model, batch, sim_ref).total, step_tensors, max_coords=3)
 
     return results
 

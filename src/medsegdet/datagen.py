@@ -13,10 +13,8 @@ from __future__ import annotations
 import base64
 import json
 import logging
-import os
 import zlib
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,12 +113,11 @@ def _polarity(record: ImageRecord) -> str:
 class MockOracle(OracleInterface):
     """Deterministic stand-in: text is a pure function of record geometry.
 
-    ``policy`` decides the evaluate() verdict per description:
-    "keep_all" (default), "drop_location", "revise_long", a callable
-    Description -> Verdict, or "fail" (raises, for skip-path tests).
+    ``policy``, a callable Description -> Verdict, decides the evaluate()
+    verdict per description; None (the default) keeps every one.
     """
 
-    def __init__(self, seed: int = 0, policy="keep_all", n_candidates: int = 2):
+    def __init__(self, seed: int = 0, policy=None, n_candidates: int = 2):
         self.seed = seed
         self.policy = policy
         self.n_candidates = n_candidates
@@ -165,21 +162,7 @@ class MockOracle(OracleInterface):
         ]
 
     def evaluate(self, description: Description) -> Verdict:
-        if callable(self.policy):
-            return self.policy(description)
-        if self.policy == "keep_all":
-            return Verdict("keep")
-        if self.policy == "drop_location":
-            if description.perspective == "location":
-                return Verdict("drop")
-            return Verdict("keep")
-        if self.policy == "revise_long":
-            if description.length == "long":
-                return Verdict("revise", description.text + ", clearly delineated")
-            return Verdict("keep")
-        if self.policy == "fail":
-            raise OracleError("mock oracle configured to fail")
-        raise OracleError(f"unknown evaluation policy {self.policy!r}")
+        return Verdict("keep") if self.policy is None else self.policy(description)
 
     def transform(self, description: Description, label: str) -> QAPair:
         variant = zlib.crc32(f"{self.seed}:{description.text}".encode()) % 2
@@ -283,41 +266,27 @@ def _pairs_for_record(record: ImageRecord, oracle: OracleInterface, n_candidates
     return pairs
 
 
-def thread_count() -> int:
-    """Worker cap from the MEDISEE_THREADS environment variable."""
-    raw = os.environ.get("MEDISEE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("MEDISEE_THREADS must be >= 1")
-    return n
-
-
 def generate_pipeline(
     records: list[ImageRecord],
     oracle: OracleInterface,
     n_candidates: int = 2,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[ImageRecord]:
-    """Attach QA pairs to every record; failing records are skipped with a log line."""
+    """Attach QA pairs to every record; failing records are skipped with a log line.
+
+    Runs on one thread, as the oracle chain holds the GIL and gains
+    nothing from more; ``threads`` must be 1.
+    """
     if not records:
         raise ValueError("generate_pipeline: no records")
-    workers = threads if threads is not None else thread_count()
-
-    def job(record):
+    if threads != 1:
+        raise ValueError(f"generate_pipeline: runs on one thread, got threads={threads}")
+    kept = []
+    for record in records:
         try:
-            return replace(record, qa=_pairs_for_record(record, oracle, n_candidates))
+            kept.append(replace(record, qa=_pairs_for_record(record, oracle, n_candidates)))
         except OracleError as exc:
             log.warning("skipping record %s: %s", record.id, exc)
-            return None
-
-    if workers > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, records))
-    else:
-        results = [job(r) for r in records]
-    kept = [r for r in results if r is not None]
     return sorted(kept, key=lambda r: r.id)
 
 

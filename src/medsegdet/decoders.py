@@ -1,10 +1,11 @@
-"""Perception heads.
+"""Perception heads, run once per batch on (B, …) tensors.
 
-A small MLP turns the detection embedding into a normalized box; a
-prompt-conditioned linear head turns dense visual features, the
-segmentation embedding, and a differentiable soft rasterization of the
-box into mask logits. Also hosts the patch-token similarity map used by
-the fine-tuning objective.
+A small MLP turns each detection embedding into a normalized box, a row
+of a (B, 4) corner tensor; a prompt-conditioned linear head turns dense
+visual features (B, Hf, Wf, d), the segmentation embeddings and a
+differentiable soft rasterization of the boxes into (B, H, W) mask
+logits. Also hosts the patch-token similarity maps (B, P) used by the
+fine-tuning objective.
 """
 
 from __future__ import annotations
@@ -19,22 +20,25 @@ from .mllm import encode_image_patches
 
 DEFAULT_SHARPNESS = 50.0
 
-
-def _value(x) -> float:
-    return float(x.data) if isinstance(x, Tensor) else float(x)
+# (cx, cy, w, h) @ _CORNERS = (cx - w/2, cy - h/2, cx + w/2, cy + h/2)
+_CORNERS = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                     [-0.5, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 0.5]])
 
 
 @dataclass
 class BBox:
-    """Axis-aligned box, normalized corners. Fields are floats or 0-d Tensors."""
+    """Axis-aligned box, normalized corners, as floats."""
 
-    x1: object
-    y1: object
-    x2: object
-    y2: object
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        self.x1, self.y1, self.x2, self.y2 = (float(v) for v in (self.x1, self.y1, self.x2, self.y2))
 
     def as_floats(self) -> tuple[float, float, float, float]:
-        return (_value(self.x1), _value(self.y1), _value(self.x2), _value(self.y2))
+        return (self.x1, self.y1, self.x2, self.y2)
 
     def validate(self) -> "BBox":
         x1, y1, x2, y2 = self.as_floats()
@@ -45,26 +49,20 @@ class BBox:
 
 @dataclass
 class DenseFeatures:
-    """Hf × Wf × d feature grid from the frozen vision stand-in."""
+    """B × Hf × Wf × d feature grids from the frozen vision stand-in."""
 
     grid: Tensor
-
-    @property
-    def hw(self) -> tuple[int, int]:
-        return self.grid.shape[0], self.grid.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.grid.shape[2]
 
 
 @dataclass
 class MaskLogits:
+    """B × H × W mask logits."""
+
     grid: Tensor
     threshold: float = 0.0
 
     def binary(self) -> np.ndarray:
-        """Predicted mask: logits above threshold."""
+        """Predicted masks: logits above threshold."""
         return self.grid.data > self.threshold
 
 
@@ -122,92 +120,86 @@ def init_mask_decoder_params(feat_dim: int, prompt_dim: int, seed: int = 0) -> M
     )
 
 
-def _clamp01(x: Tensor) -> Tensor:
-    return ad.minimum(ad.maximum(x, Tensor(0.0)), Tensor(1.0))
+def bbox_decode(h_det: Tensor, params: BBoxParams) -> Tensor:
+    """(B, d) detection embeddings -> (B, 4) corners (x1, y1, x2, y2).
 
-
-def bbox_decode(h_det: Tensor, params: BBoxParams) -> BBox:
-    """(cx, cy, w, h) through sigmoid, converted to clamped corners.
-
-    Total over finite inputs: the output always satisfies the box
-    invariants because clamping is monotone.
+    The MLP's sigmoid outputs (cx, cy, w, h) map to corners through one
+    constant matrix, clamped to [0, 1]. Total over finite inputs: every
+    row satisfies the box invariants because clamping is monotone.
     """
+    if h_det.data.ndim != 2:
+        raise ShapeError(f"bbox_decode: expected (B, d) embeddings, got {h_det.shape}")
     if not np.all(np.isfinite(h_det.data)):
         raise NonFiniteError("bbox_decode: non-finite detection embedding")
     h = ad.relu(h_det @ params.w1 + params.b1)
     h = ad.relu(h @ params.w2 + params.b2)
-    raw = h @ params.w3 + params.b3
-    s = ad.sigmoid(raw)
-    cx, cy, w, hgt = s[0], s[1], s[2], s[3]
-    return BBox(
-        x1=_clamp01(cx - w * 0.5),
-        y1=_clamp01(cy - hgt * 0.5),
-        x2=_clamp01(cx + w * 0.5),
-        y2=_clamp01(cy + hgt * 0.5),
-    )
+    s = ad.sigmoid(h @ params.w3 + params.b3)
+    return ad.minimum(ad.maximum(s @ _CORNERS, 0.0), 1.0)
 
 
-def soft_box_raster(box: BBox, H: int, W: int, sharpness: float = DEFAULT_SHARPNESS) -> Tensor:
-    """H×W grid in (0,1): product of four sigmoid edge gates at pixel centers.
+def soft_box_raster(boxes: Tensor, H: int, W: int, sharpness: float = DEFAULT_SHARPNESS) -> Tensor:
+    """B×H×W grids in (0,1): products of four sigmoid edge gates at pixel centers.
 
-    Differentiable in the box coordinates, near-binary at high sharpness.
+    Differentiable in the (B, 4) box corners, near-binary at high sharpness.
     """
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
-    xs = Tensor((np.arange(W) + 0.5).reshape(1, W) / W)
-    ys = Tensor((np.arange(H) + 0.5).reshape(H, 1) / H)
-    fx = ad.sigmoid((xs - box.x1) * sharpness) * ad.sigmoid((box.x2 - xs) * sharpness)
-    fy = ad.sigmoid((ys - box.y1) * sharpness) * ad.sigmoid((box.y2 - ys) * sharpness)
+    if boxes.data.ndim != 2 or boxes.shape[1] != 4:
+        raise ShapeError(f"soft_box_raster: expected (B, 4) boxes, got {boxes.shape}")
+    corners = boxes.reshape(-1, 4, 1, 1)
+    x1, y1, x2, y2 = (corners[:, k] for k in range(4))
+    xs = Tensor((np.arange(W) + 0.5).reshape(1, 1, W) / W)
+    ys = Tensor((np.arange(H) + 0.5).reshape(1, H, 1) / H)
+    fx = ad.sigmoid((xs - x1) * sharpness) * ad.sigmoid((x2 - xs) * sharpness)
+    fy = ad.sigmoid((ys - y1) * sharpness) * ad.sigmoid((y2 - ys) * sharpness)
     return fy * fx
 
 
-def dense_features(image: np.ndarray, patch_size: int, projection: Tensor) -> DenseFeatures:
-    """Patchwise linear features on the full grid (the vision-backbone stand-in)."""
-    rows = encode_image_patches(image, patch_size, projection)
-    H, W = np.shape(image)
-    return DenseFeatures(grid=rows.reshape(H // patch_size, W // patch_size, projection.shape[1]))
+def dense_features(images: np.ndarray, patch_size: int, projection: Tensor) -> DenseFeatures:
+    """Patchwise linear features of a (B, H, W) image stack (the vision-backbone stand-in)."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3:
+        raise ShapeError(f"dense_features: expected (B, H, W) images, got {images.shape}")
+    B, H, W = images.shape
+    rows = encode_image_patches(images, patch_size, projection)
+    return DenseFeatures(grid=rows.reshape(B, H // patch_size, W // patch_size, projection.shape[1]))
 
 
 def mask_decode(
     f: DenseFeatures,
     h_seg: Tensor,
-    box: BBox,
+    boxes: Tensor,
     params: MaskDecoderParams,
     out_hw: tuple[int, int],
     sharpness: float = DEFAULT_SHARPNESS,
     use_box: bool = True,
 ) -> MaskLogits:
-    """Per-cell logit ⟨f(i,j), W_p·h_seg⟩ + gamma·raster(i,j) + b, upsampled.
+    """Per-cell logit ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.
 
     ``use_box=False`` removes the raster term entirely, severing the
     gradient path from the mask loss into the box decoder.
     """
-    Hf, Wf = f.hw
+    B, Hf, Wf, dim = f.grid.shape
     if Hf == 0 or Wf == 0:
         raise ShapeError("mask_decode: empty feature grid")
-    if params.w_p.shape[0] != h_seg.shape[0]:
+    if h_seg.shape != (B, params.w_p.shape[0]):
         raise ShapeError(
-            f"mask_decode: prompt dim {h_seg.shape[0]} does not match W_p {params.w_p.shape}"
+            f"mask_decode: prompts {h_seg.shape} do not match {B} grids and W_p {params.w_p.shape}"
         )
-    if params.w_p.shape[1] != f.dim:
-        raise ShapeError(
-            f"mask_decode: feature dim {f.dim} does not match W_p {params.w_p.shape}"
-        )
-    q = h_seg @ params.w_p  # (feat_dim,)
-    flat = f.grid.reshape(Hf * Wf, f.dim)
-    dots = (flat @ q).reshape(Hf, Wf)
+    if params.w_p.shape[1] != dim:
+        raise ShapeError(f"mask_decode: feature dim {dim} does not match W_p {params.w_p.shape}")
+    q = (h_seg @ params.w_p).reshape(B, dim, 1)
+    dots = (f.grid.reshape(B, Hf * Wf, dim) @ q).reshape(B, Hf, Wf)
     if use_box:
-        raster = soft_box_raster(box, Hf, Wf, sharpness)
-        logits_lr = dots + params.gamma * raster + params.b
+        logits_lr = dots + params.gamma * soft_box_raster(boxes, Hf, Wf, sharpness) + params.b
     else:
         logits_lr = dots + params.b
     return MaskLogits(grid=ad.bilinear_upsample(logits_lr, out_hw))
 
 
 def similarity_map(h_img: Tensor, h_seg: Tensor) -> Tensor:
-    """Dot product of every image-token row with the segmentation embedding."""
-    if h_img.shape[1] != h_seg.shape[0]:
-        raise ShapeError(
-            f"similarity_map: dims {h_img.shape} vs {h_seg.shape} disagree"
-        )
-    return h_img @ h_seg
+    """(B, P) dot products of every image-token row with its sample's segmentation embedding."""
+    if h_img.data.ndim != 3 or h_seg.shape != (h_img.shape[0], h_img.shape[2]):
+        raise ShapeError(f"similarity_map: image rows {h_img.shape} vs prompts {h_seg.shape} disagree")
+    B, P, d = h_img.shape
+    return (h_img @ h_seg.reshape(B, d, 1)).reshape(B, P)

@@ -1,9 +1,10 @@
-"""Candidate-token fusion.
+"""Candidate-token fusion, once per batch.
 
-Two small routers score the n candidate embeddings produced by the
-language model and build one fused embedding per downstream decoder
-(h_seg for the mask decoder, h_det for the box decoder) as convex
-combinations of the candidates.
+Two small routers score the n candidate embeddings that the language
+model produced for each sample and build one fused embedding per
+downstream decoder (h_seg for the mask decoder, h_det for the box
+decoder) as convex combinations of that sample's candidates. Candidates
+come as a (B, n, d) block; weights are (B, n) and fused embeddings (B, d).
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ from .autodiff import ShapeError, Tensor
 
 @dataclass
 class CandidateBundle:
-    """Last-layer hidden rows split by role: candidates (n×d), image prefix, text."""
+    """A batch's last-layer hidden rows by role: candidates (B×n×d) and image prefix (B×P×d)."""
 
     candidates: Tensor
     h_img: Tensor
-    h_txt: Tensor
 
     @property
     def n(self) -> int:
-        return self.candidates.shape[0]
+        return self.candidates.shape[1]
 
     @property
     def d(self) -> int:
-        return self.candidates.shape[1]
+        return self.candidates.shape[2]
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,21 @@ def init_router_params(cfg: FusionConfig, d: int, seed: int = 0) -> RouterParams
 
 
 def _router_weights(flat: Tensor, w1, b1, w2, b2) -> Tensor:
-    logits = ad.relu(flat @ w1 + b1) @ w2 + b2
-    return ad.softmax(logits).reshape(-1)
+    return ad.softmax(ad.relu(flat @ w1 + b1) @ w2 + b2)
 
 
 def route(
     bundle: CandidateBundle, params: RouterParams | None, cfg: FusionConfig
 ) -> tuple[Tensor, Tensor]:
-    """Per-decoder candidate weights; simplex-valued in both modes."""
+    """Per-decoder candidate weights (B, n); each row is simplex-valued in both modes."""
+    if bundle.candidates.data.ndim != 3:
+        raise ShapeError(f"route: expected (B, n, d) candidates, got {bundle.candidates.shape}")
     if bundle.n != cfg.n:
         raise ShapeError(f"route: bundle has {bundle.n} candidates, config expects {cfg.n}")
+    B = bundle.candidates.shape[0]
     if cfg.mode == "hard":
-        w_seg = np.zeros(cfg.n)
-        w_det = np.zeros(cfg.n)
-        w_seg[0] = 1.0
-        w_det[min(1, cfg.n - 1)] = 1.0
-        return Tensor(w_seg), Tensor(w_det)
+        eye = np.eye(cfg.n)
+        return Tensor(np.tile(eye[0], (B, 1))), Tensor(np.tile(eye[min(1, cfg.n - 1)], (B, 1)))
     if params is None:
         raise ValueError("route: soft mode requires router parameters")
     if params.seg_w1.shape[0] != cfg.n * bundle.d:
@@ -113,21 +112,21 @@ def route(
             f"route: router expects input {params.seg_w1.shape[0]}, "
             f"bundle provides {cfg.n * bundle.d}"
         )
-    flat = bundle.candidates.reshape(1, -1)
+    flat = bundle.candidates.reshape(B, cfg.n * bundle.d)
     w_seg = _router_weights(flat, params.seg_w1, params.seg_b1, params.seg_w2, params.seg_b2)
     w_det = _router_weights(flat, params.det_w1, params.det_b1, params.det_w2, params.det_b2)
     return w_seg, w_det
 
 
 def fuse(bundle: CandidateBundle, w_seg: Tensor, w_det: Tensor) -> FusionOutput:
-    """Weighted sums over candidate rows, weights recorded in the output."""
-    n = bundle.n
-    if w_seg.shape != (n,) or w_det.shape != (n,):
+    """Weighted sums over each sample's candidate rows, weights recorded in the output."""
+    B, n, d = bundle.candidates.shape
+    if w_seg.shape != (B, n) or w_det.shape != (B, n):
         raise ShapeError(
-            f"fuse: weight shapes {w_seg.shape}/{w_det.shape} do not match n={n}"
+            f"fuse: weight shapes {w_seg.shape}/{w_det.shape} do not match {B} samples of n={n}"
         )
-    h_seg = (w_seg.reshape(1, n) @ bundle.candidates).reshape(-1)
-    h_det = (w_det.reshape(1, n) @ bundle.candidates).reshape(-1)
+    h_seg = (w_seg.reshape(B, 1, n) @ bundle.candidates).reshape(B, d)
+    h_det = (w_det.reshape(B, 1, n) @ bundle.candidates).reshape(B, d)
     return FusionOutput(h_seg=h_seg, h_det=h_det, w_seg=w_seg, w_det=w_det)
 
 

@@ -3,7 +3,9 @@
 Text cross-entropy, mask losses (BCE + Dice), box losses (L1 + GIoU),
 and the similarity losses (JS + MSE) used when fine-tuning against a
 detached reference pass, plus the two compositions: the end-to-end
-total txt + mask + bbox and the fine-tune total that adds sim.
+total txt + mask + bbox and the fine-tune total that adds sim. The mask,
+box and similarity losses take a whole batch, (B, …) tensors, and
+return batch means.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .decoders import BBox, MaskLogits
+from .decoders import MaskLogits
 
 DICE_EPS = 1e-6
 _LOG_FLOOR = 1e-300
@@ -56,10 +58,6 @@ class LossReport:
         }
 
 
-def _as_scalar_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(float(x))
-
-
 def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
     """Mean negative log-likelihood of targets under row-wise softmax.
 
@@ -92,49 +90,51 @@ def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
 
 
 def mask_loss(pred: MaskLogits, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
-    """(bce, dice, mask) with mask = w.bce*bce + w.dice*dice."""
+    """(bce, dice, mask) over (B, H, W) logits and targets, mask = w.bce*bce + w.dice*dice.
+
+    BCE is the mean over every pixel of the batch; Dice is taken per
+    sample and then averaged.
+    """
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.grid.shape != gt.shape:
-        raise ShapeError(f"mask_loss: pred {pred.grid.shape} vs gt {gt.shape}")
+    if pred.grid.shape != gt.shape or gt.ndim != 3:
+        raise ShapeError(f"mask_loss: pred {pred.grid.shape} vs gt {gt.shape} (need equal (B, H, W))")
     z = pred.grid
     # BCE(sigmoid(z), y) = softplus(z) - z*y, stable for any logit magnitude
     bce = (ad.softplus(z) - z * gt).mean()
     p = ad.sigmoid(z)
-    inter = (p * gt).sum()
-    denom = p.sum() + float(gt.sum())
-    dice = 1.0 - (inter * 2.0 + DICE_EPS) / (denom + DICE_EPS)
+    inter = (p * gt).sum(axis=(1, 2))
+    denom = p.sum(axis=(1, 2)) + gt.sum(axis=(1, 2))
+    dice = (1.0 - (inter * 2.0 + DICE_EPS) / (denom + DICE_EPS)).mean()
     total = bce * w.bce + dice * w.dice
     return bce, dice, total
 
 
-def _box_corners(box: BBox) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    return tuple(_as_scalar_tensor(v) for v in (box.x1, box.y1, box.x2, box.y2))
+def bbox_loss(pred: Tensor, gt, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
+    """(l1, giou_loss, bbox) over (B, 4) corner rows, bbox = w.l1*l1 + w.giou*giou_loss.
 
+    ``gt`` is a (B, 4) array of target corners. L1 is the mean over all
+    corners; GIoU is taken per box and then averaged.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape or gt.ndim != 2 or gt.shape[1] != 4:
+        raise ShapeError(f"bbox_loss: pred {pred.shape} vs gt {gt.shape} (need equal (B, 4))")
+    for who, b in (("predicted", pred.data), ("target", gt)):
+        if not np.all((0.0 <= b[:, :2]) & (b[:, :2] <= b[:, 2:]) & (b[:, 2:] <= 1.0)):
+            raise ValueError(f"bbox_loss: invalid {who} box among {b.tolist()}")
+    l1 = ad.absolute(pred - gt).mean()
 
-def bbox_loss(pred: BBox, gt: BBox, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
-    """(l1, giou_loss, bbox) with bbox = w.l1*l1 + w.giou*giou_loss."""
-    pred.validate()
-    gt.validate()
-    px1, py1, px2, py2 = _box_corners(pred)
-    gx1, gy1, gx2, gy2 = _box_corners(gt)
-    zero = Tensor(0.0)
-
-    l1 = (
-        ad.absolute(px1 - gx1) + ad.absolute(py1 - gy1)
-        + ad.absolute(px2 - gx2) + ad.absolute(py2 - gy2)
-    ) * 0.25
-
-    iw = ad.maximum(ad.minimum(px2, gx2) - ad.maximum(px1, gx1), zero)
-    ih = ad.maximum(ad.minimum(py2, gy2) - ad.maximum(py1, gy1), zero)
-    inter = iw * ih
-    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
-    hull = (ad.maximum(px2, gx2) - ad.minimum(px1, gx1)) * (
-        ad.maximum(py2, gy2) - ad.minimum(py1, gy1)
-    )
+    lo, hi = pred[:, :2], pred[:, 2:]
+    glo, ghi = gt[:, :2], gt[:, 2:]
+    iwh = ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo), 0.0)
+    inter = iwh[:, 0] * iwh[:, 1]
+    pwh, gwh = hi - lo, ghi - glo
+    union = pwh[:, 0] * pwh[:, 1] + gwh[:, 0] * gwh[:, 1] - inter
+    hwh = ad.maximum(hi, ghi) - ad.minimum(lo, glo)
+    hull = hwh[:, 0] * hwh[:, 1]
     # tiny floor keeps degenerate (zero-area) pairs defined
     iou = inter / (union + 1e-12)
     giou = iou - (hull - union) / (hull + 1e-12)
-    giou_loss = 1.0 - giou
+    giou_loss = (1.0 - giou).mean()
     total = l1 * w.l1 + giou_loss * w.giou
     return l1, giou_loss, total
 
@@ -144,17 +144,17 @@ def _log_clamped(p: Tensor) -> Tensor:
 
 
 def sim_loss(sim_pred: Tensor, sim_ref: Tensor, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
-    """(js, mse, sim); the reference map is detached before use."""
-    if sim_pred.shape != sim_ref.shape or sim_pred.data.ndim != 1:
+    """(js, mse, sim) over (B, P) maps, each a batch mean; the reference maps are detached."""
+    if sim_pred.shape != sim_ref.shape or sim_pred.data.ndim != 2:
         raise ShapeError(
-            f"sim_loss: shapes {sim_pred.shape} vs {sim_ref.shape} (need equal 1-D)"
+            f"sim_loss: shapes {sim_pred.shape} vs {sim_ref.shape} (need equal (B, P))"
         )
     ref = sim_ref.detach()
     p = ad.softmax(sim_pred)
     q = ad.softmax(ref)
-    mmid = (p + q) * 0.5
-    logm = _log_clamped(mmid)
-    js = ((p * (_log_clamped(p) - logm)).sum() + (q * (_log_clamped(q) - logm)).sum()) * 0.5
+    logm = _log_clamped((p + q) * 0.5)
+    kl = p * (_log_clamped(p) - logm) + q * (_log_clamped(q) - logm)
+    js = kl.sum(axis=1).mean() * 0.5
     diff = sim_pred - ref
     mse = (diff * diff).mean()
     total = js * w.js + mse * w.mse

@@ -254,22 +254,27 @@ def expand_vocabulary(params: ModelParams, n: int, seed: int) -> ModelParams:
 
 
 def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
-    """Flatten non-overlapping patches (row-major) and project each to a d-vector."""
+    """Flatten non-overlapping patches (row-major) and project each to a d-vector.
+
+    An (H, W) image gives (patches, d) rows; a (B, H, W) stack gives
+    (B, patches, d), through one matrix product over all rows.
+    """
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"encode_image_patches: expected 2-D image, got {image.shape}")
-    H, W = image.shape
+    if image.ndim not in (2, 3):
+        raise ShapeError(f"encode_image_patches: expected 2-D image or 3-D stack, got {image.shape}")
+    *lead, H, W = image.shape
     if H % patch_size or W % patch_size:
         raise ShapeError(
             f"encode_image_patches: image {image.shape} not divisible by patch {patch_size}"
         )
     gh, gw = H // patch_size, W // patch_size
     patches = (
-        image.reshape(gh, patch_size, gw, patch_size)
-        .transpose(0, 2, 1, 3)
-        .reshape(gh * gw, patch_size * patch_size)
+        image.reshape(*lead, gh, patch_size, gw, patch_size)
+        .swapaxes(-3, -2)
+        .reshape(-1, patch_size * patch_size)
     )
-    return Tensor(patches) @ projection
+    rows = Tensor(patches) @ projection
+    return rows.reshape(*lead, gh * gw, projection.shape[1]) if lead else rows
 
 
 class KVCache:
@@ -392,17 +397,19 @@ def decode_greedy(
 
 def candidate_bundles(
     hidden: Tensor, offsets: list[int], seqs: list[MultimodalSequence], vocab: VocabSpec
-) -> list[CandidateBundle]:
-    """Per-candidate hidden rows (in candidate-id order) plus h_img/h_txt of each packed sequence.
+) -> CandidateBundle:
+    """The batch's candidate rows (B, n, d), in candidate-id order, and image rows (B, P, d).
 
     Sequence i owns rows ``offsets[i]:offsets[i + 1]`` of ``hidden``, as
-    ``forward_packed`` returns them.  Each candidate id must occur exactly
-    once in a sequence's generated region.  The candidate rows and the
-    image rows of all sequences are gathered once; each sequence then takes
-    its own block of both.
+    ``forward_packed`` returns them; every sequence must hold the same
+    number of image patches.  Each candidate id must occur exactly once
+    in a sequence's generated region.  One gather takes each block.
     """
+    P = seqs[0].num_patches
     cand_rows, img_rows = [], []
     for seq, off in zip(seqs, offsets):
+        if seq.num_patches != P:
+            raise ShapeError(f"candidate_bundles: sequences hold {P} and {seq.num_patches} image patches")
         gen = seq.token_ids[seq.gen_start :]
         for cid in vocab.candidate_ids:
             hits = [i for i, t in enumerate(gen) if t == cid]
@@ -414,20 +421,10 @@ def candidate_bundles(
                 raise DuplicateCandidateError(
                     f"candidate token {cid} occurs {len(hits)} times in the generated region"
                 )
-            cand_rows.append(off + seq.num_patches + seq.gen_start + hits[0])
-        img_rows.extend(range(off, off + seq.num_patches))
-    cands, imgs = hidden[cand_rows], hidden[img_rows]
-    n, p, bundles = vocab.num_candidates, 0, []
-    for i, seq in enumerate(seqs):
-        P = seq.num_patches
-        text = hidden[offsets[i] + P : offsets[i + 1]]
-        bundles.append(CandidateBundle(cands[i * n : (i + 1) * n], imgs[p : p + P], text))
-        p += P
-    return bundles
-
-
-def extract_candidate_embeddings(
-    hidden: Tensor, seq: MultimodalSequence, vocab: VocabSpec
-) -> CandidateBundle:
-    """The one-sequence case of ``candidate_bundles``."""
-    return candidate_bundles(hidden, [0, hidden.shape[0]], [seq], vocab)[0]
+            cand_rows.append(off + P + seq.gen_start + hits[0])
+        img_rows.extend(range(off, off + P))
+    B, d = len(seqs), hidden.shape[1]
+    return CandidateBundle(
+        candidates=hidden[cand_rows].reshape(B, vocab.num_candidates, d),
+        h_img=hidden[img_rows].reshape(B, P, d),
+    )

@@ -2,11 +2,12 @@
 
 Bundles every parameter group into one model container, samples a 7:3
 referring/reasoning mix, runs each batch's teacher-forced sequences
-through the LM in one packed pass and then fusion and both decoders per
-sample, applies AdamW with warmup-decay, and round-trips everything
-through a binary checkpoint format. The fine-tune mode adds a
-gradient-detached reference forward pass driven by the bare-label query
-and supervises the similarity map against it.
+through the LM in one packed pass and then fusion, both decoders and
+their losses once on (B, …) tensors (``_heads``, which evaluation shares),
+applies AdamW with warmup-decay, and round-trips everything through a
+binary checkpoint format. The fine-tune mode adds a gradient-detached
+reference forward pass driven by the bare-label query and supervises the
+similarity maps against it.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .datagen import ImageRecord, candidate_placeholders
 from .decoders import (
+    BBox,
     BBoxParams,
     MaskDecoderParams,
+    MaskLogits,
     bbox_decode,
     dense_features,
     init_bbox_params,
@@ -32,7 +35,7 @@ from .decoders import (
     mask_decode,
     similarity_map,
 )
-from .fusion import CandidateBundle, FusionConfig, RouterParams, fuse_candidates, init_router_params
+from .fusion import CandidateBundle, FusionConfig, FusionOutput, RouterParams, fuse_candidates, init_router_params
 from .losses import LossReport, LossWeights, bbox_loss, compose_end, compose_ft, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample, MetricReport, evaluate_samples
 from .mllm import (
@@ -48,7 +51,6 @@ from .mllm import (
     encode_image_patches,
     encode_text,
     expand_vocabulary,
-    extract_candidate_embeddings,
     forward,
     forward_packed,
     init_params,
@@ -300,10 +302,11 @@ def adamw_step(
 
 # -- forward / train step -----------------------------------------------------------
 
-def _teacher_forced(model: Model, patches: Tensor, question: str, answer: str) -> MultimodalSequence:
-    """The image prefix, the question and the answer ending in EOS, as one sequence."""
-    a_ids = encode_text(answer, model.vocab) + [EOS_ID]
-    return build_sequence(patches, encode_text(question, model.vocab), a_ids, model.vocab)
+def _teacher_forced(model: Model, sample: TrainSample, query: str) -> MultimodalSequence:
+    """The image prefix, the query and the answer ending in EOS, as one sequence."""
+    patches = encode_image_patches(sample.record.image, model.cfg.mllm_patch, model.lm.patch_proj)
+    a_ids = encode_text(sample.answer, model.vocab) + [EOS_ID]
+    return build_sequence(patches, encode_text(query, model.vocab), a_ids, model.vocab)
 
 
 def answer_ce_loss(hidden: Tensor, offsets: list[int], seqs, out_proj: Tensor) -> Tensor:
@@ -327,28 +330,62 @@ def answer_ce_loss(hidden: Tensor, offsets: list[int], seqs, out_proj: Tensor) -
     return text_ce_loss(hidden[rows] @ out_proj.T, targets, weights)
 
 
-def _sample_losses(model: Model, sample: TrainSample, bundle: CandidateBundle, sim_ref) -> dict[str, Tensor]:
-    """Fusion, both decoders and their losses for one sample; the sim terms when ``sim_ref`` is given."""
+def one_image_shape(records: list[ImageRecord]) -> tuple[int, int]:
+    """The image shape all records share; ShapeError names the first two that differ."""
+    shape = records[0].image.shape
+    for record in records:
+        if record.image.shape != shape:
+            raise ShapeError(f"records need one image shape, got {shape} and {record.image.shape}")
+    return shape
+
+
+def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[FusionOutput, Tensor, MaskLogits]:
+    """Fusion, the box head and the mask head, once over a batch of B samples.
+
+    ``images`` is the (B, H, W) stack the mask logits are sized to.
+    Returns the fused embeddings, the (B, 4) box corners and the mask
+    logits; training and evaluation both decode through here.
+    """
     cfg = model.cfg
-    record = sample.record
     fused = fuse_candidates(bundle, model.router, cfg.fusion)
     box = bbox_decode(fused.h_det, model.bbox)
-    feats = dense_features(record.image, cfg.vision_patch, model.vision_proj)
+    feats = dense_features(images, cfg.vision_patch, model.vision_proj)
     mlogits = mask_decode(
-        feats, fused.h_seg, box, model.maskdec, record.image.shape,
+        feats, fused.h_seg, box, model.maskdec, images.shape[1:],
         sharpness=cfg.sharpness, use_box=cfg.use_box_prompt,
     )
-    bce, dice, mask_total = mask_loss(mlogits, record.mask, cfg.weights)
-    l1, giou, bbox_total = bbox_loss(box, record.box, cfg.weights)
-    parts = {
-        "bce": bce, "dice": dice, "mask": mask_total,
-        "l1": l1, "giou": giou, "bbox": bbox_total,
-    }
-    if sim_ref is not None:
-        sim_pred = similarity_map(bundle.h_img, fused.h_seg)
-        js, mse, sim_total = sim_loss(sim_pred, sim_ref, cfg.weights)
-        parts.update({"js": js, "mse": mse, "sim": sim_total})
-    return parts
+    return fused, box, mlogits
+
+
+def reference_maps(model: Model, batch: list[TrainSample]) -> Tensor:
+    """The fine-tune targets: (B, P) similarity maps of the bare-label queries, without grad."""
+    with ad.no_grad():
+        seqs = [_teacher_forced(model, s, s.x_hat_txt) for s in batch]
+        hidden, offsets = forward_packed(seqs, model.lm)
+        bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+        return similarity_map(bundle.h_img, fuse_candidates(bundle, model.router, model.cfg.fusion).h_seg)
+
+
+def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None = None) -> LossReport:
+    """Every loss of a batch, as batch means: one packed LM pass, then ``_heads`` once.
+
+    With ``sim_ref`` (the ``reference_maps`` of the batch) the fine-tune
+    similarity terms join the total.
+    """
+    w = model.cfg.weights
+    seqs = [_teacher_forced(model, s, s.question) for s in batch]
+    hidden, offsets = forward_packed(seqs, model.lm)
+    txt = answer_ce_loss(hidden, offsets, seqs, model.lm.out_proj)
+    bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+    images = np.stack([s.record.image for s in batch])
+    fused, box, mlogits = _heads(model, bundle, images)
+    bce, dice, mask_total = mask_loss(mlogits, np.stack([s.record.mask for s in batch]), w)
+    l1, giou, bbox_total = bbox_loss(box, [s.record.box.as_floats() for s in batch], w)
+    report = compose_end(txt, mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=giou)
+    if sim_ref is None:
+        return report
+    js, mse, sim_total = sim_loss(similarity_map(bundle.h_img, fused.h_seg), sim_ref, w)
+    return compose_ft(report, sim_total, js=js, mse=mse)
 
 
 def train_step(
@@ -357,8 +394,9 @@ def train_step(
     """Forward + losses + one AdamW step over the batch mean.
 
     The batch's sequences go through the LM once, packed row-wise (in
-    fine-tune mode, the reference queries once more under ``no_grad``);
-    fusion, the decoders and their losses run per sample.  Raises
+    fine-tune mode, the reference queries once more under ``no_grad``),
+    and fusion, the decoders and their losses once on (B, …) tensors, so
+    the batch needs one image shape (ShapeError otherwise).  Raises
     NonFiniteTrainingError, naming the iteration and the parameters AdamW
     skipped, at a non-finite loss or gradient.
     """
@@ -367,33 +405,9 @@ def train_step(
     finetune = cfg.mode == "finetune"
     if finetune and not all(s.x_hat_txt for s in batch):
         raise ValueError("finetune sample lacks the non-inference query")
+    one_image_shape([s.record for s in batch])
     ad.reset_tape()
-    patches = [encode_image_patches(s.record.image, cfg.mllm_patch, model.lm.patch_proj) for s in batch]
-    seqs = [_teacher_forced(model, p, s.question, s.answer) for p, s in zip(patches, batch)]
-    hidden, offsets = forward_packed(seqs, model.lm)
-    txt = answer_ce_loss(hidden, offsets, seqs, model.lm.out_proj)
-    sim_refs = [None] * len(batch)
-    if finetune:
-        ref_seqs = [_teacher_forced(model, p, s.x_hat_txt, s.answer) for p, s in zip(patches, batch)]
-        with ad.no_grad():
-            ref_hidden, ref_offsets = forward_packed(ref_seqs, model.lm)
-            sim_refs = [
-                similarity_map(b.h_img, fuse_candidates(b, model.router, cfg.fusion).h_seg)
-                for b in candidate_bundles(ref_hidden, ref_offsets, ref_seqs, model.vocab)
-            ]
-    sums: dict[str, Tensor] = {}
-    bundles = candidate_bundles(hidden, offsets, seqs, model.vocab)
-    for sample, bundle, sim_ref in zip(batch, bundles, sim_refs):
-        for k, v in _sample_losses(model, sample, bundle, sim_ref).items():
-            sums[k] = v if k not in sums else sums[k] + v
-    inv = 1.0 / len(batch)
-    mean = {k: v * inv for k, v in sums.items()}
-    report = compose_end(
-        txt, mean["mask"], mean["bbox"],
-        bce=mean["bce"], dice=mean["dice"], l1=mean["l1"], giou=mean["giou"],
-    )
-    if finetune:
-        report = compose_ft(report, mean["sim"], js=mean["js"], mse=mean["mse"])
+    report = batch_losses(model, batch, reference_maps(model, batch) if finetune else None)
     ad.backward(report.total)
     skipped = adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)
     if skipped or not np.isfinite(report.total.data):
@@ -443,17 +457,11 @@ def _predict(model: Model, record: ImageRecord):
         seq = build_sequence(patches, q_ids, generated, model.vocab)
         hidden, _ = forward(seq, model.lm)
         try:
-            bundle = extract_candidate_embeddings(hidden, seq, model.vocab)
+            bundle = candidate_bundles(hidden, [0, hidden.shape[0]], [seq], model.vocab)
         except (CandidateAbsentError, DuplicateCandidateError):
             return np.zeros_like(record.mask, dtype=bool), None
-        fused = fuse_candidates(bundle, model.router, cfg.fusion)
-        box = bbox_decode(fused.h_det, model.bbox)
-        feats = dense_features(record.image, cfg.vision_patch, model.vision_proj)
-        mlogits = mask_decode(
-            feats, fused.h_seg, box, model.maskdec, record.image.shape,
-            sharpness=cfg.sharpness, use_box=cfg.use_box_prompt,
-        )
-    return mlogits.binary(), box
+        _, box, mlogits = _heads(model, bundle, record.image[None])
+    return mlogits.binary()[0], BBox(*box.data[0])
 
 
 def evaluate_model(

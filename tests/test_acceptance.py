@@ -24,7 +24,7 @@ from medsegdet.datagen import (
     synth_records,
     write_jsonl,
 )
-from medsegdet.decoders import BBox, MaskLogits, bbox_decode, dense_features, mask_decode
+from medsegdet.decoders import BBox, MaskLogits
 from medsegdet.fusion import (
     CandidateBundle,
     FusionConfig,
@@ -44,12 +44,14 @@ from medsegdet.metrics import aggregate_seg, box_iou, EvalSample, mask2box, mask
 from medsegdet.mllm import (
     EOS_ID,
     build_sequence,
+    candidate_bundles,
     encode_image_patches,
     encode_text,
-    extract_candidate_embeddings,
     forward,
+    forward_packed,
 )
 from medsegdet.trainer import (
+    _heads,
     TrainConfig,
     TrainSample,
     default_answer,
@@ -124,28 +126,28 @@ def test_criterion_2_loss_identities():
     gt = rng.uniform(size=(9, 9)) > 0.5
     gt[4, 4] = True
     perfect = np.where(gt, 40.0, -40.0)
-    dice_at_perfect = float(mask_loss(MaskLogits(Tensor(perfect)), gt, w)[1].data)
+    dice_at_perfect = float(mask_loss(MaskLogits(Tensor(perfect[None])), gt[None], w)[1].data)
 
-    box = BBox(0.2, 0.3, 0.7, 0.9)
-    giou_at_perfect = float(bbox_loss(box, box, w)[1].data)
+    box = [0.2, 0.3, 0.7, 0.9]
+    giou_at_perfect = float(bbox_loss(Tensor([box]), [box], w)[1].data)
 
     js_gap = 0.0
     js_max = 0.0
     for _ in range(50):
-        a = Tensor(rng.normal(scale=3.0, size=12))
-        b = Tensor(rng.normal(scale=3.0, size=12))
+        a = Tensor(rng.normal(scale=3.0, size=(1, 12)))
+        b = Tensor(rng.normal(scale=3.0, size=(1, 12)))
         ab = float(sim_loss(a, b, w)[0].data)
         ba = float(sim_loss(b, a, w)[0].data)
         js_gap = max(js_gap, abs(ab - ba))
         js_max = max(js_max, ab)
-    spread = np.zeros(12)
-    spread[0] = 60.0
-    far = np.zeros(12)
-    far[-1] = 60.0
+    spread = np.zeros((1, 12))
+    spread[0, 0] = 60.0
+    far = np.zeros((1, 12))
+    far[0, -1] = 60.0
     js_max = max(js_max, float(sim_loss(Tensor(spread), Tensor(far), w)[0].data))
 
     end = compose_end(Tensor(1.25), Tensor(0.5), Tensor(0.375))
-    sim = Tensor(rng.normal(size=10))
+    sim = Tensor(rng.normal(size=(1, 10)))
     js0, mse0, sim_total = sim_loss(sim, Tensor(sim.data.copy()), w)
     ft = compose_ft(end, sim_total)
     exact_match = (
@@ -236,9 +238,8 @@ def test_criterion_3_metric_oracles():
 
 def _bundle(rng, n, d, requires_grad=False):
     return CandidateBundle(
-        candidates=Tensor(rng.normal(size=(n, d)), requires_grad=requires_grad),
-        h_img=Tensor(rng.normal(size=(5, d))),
-        h_txt=Tensor(rng.normal(size=(3, d))),
+        candidates=Tensor(rng.normal(size=(1, n, d)), requires_grad=requires_grad),
+        h_img=Tensor(rng.normal(size=(1, 5, d))),
     )
 
 
@@ -341,26 +342,19 @@ def test_criterion_6_finetune_experiment(overfit_runs):
 
 
 def _batch_mask_loss(model, batch, use_box):
+    model = replace(model, cfg=replace(model.cfg, use_box_prompt=use_box))
     cfg = model.cfg
-    total = None
+    seqs = []
     for sample in batch:
         rec = sample.record
         patches = encode_image_patches(rec.image, cfg.mllm_patch, model.lm.patch_proj)
         q_ids = encode_text(sample.question, model.vocab)
         a_ids = encode_text(sample.answer, model.vocab) + [EOS_ID]
-        seq = build_sequence(patches, q_ids, a_ids, model.vocab)
-        hidden, _ = forward(seq, model.lm)
-        bundle = extract_candidate_embeddings(hidden, seq, model.vocab)
-        fused = fuse_candidates(bundle, model.router, cfg.fusion)
-        box = bbox_decode(fused.h_det, model.bbox)
-        feats = dense_features(rec.image, cfg.vision_patch, model.vision_proj)
-        mlogits = mask_decode(
-            feats, fused.h_seg, box, model.maskdec, rec.image.shape,
-            sharpness=cfg.sharpness, use_box=use_box,
-        )
-        loss = mask_loss(mlogits, rec.mask, cfg.weights)[2]
-        total = loss if total is None else total + loss
-    return total
+        seqs.append(build_sequence(patches, q_ids, a_ids, model.vocab))
+    hidden, offsets = forward_packed(seqs, model.lm)
+    bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+    _, _, mlogits = _heads(model, bundle, np.stack([s.record.image for s in batch]))
+    return mask_loss(mlogits, np.stack([s.record.mask for s in batch]), cfg.weights)[2]
 
 
 def test_criterion_7_box_gradient_flow():

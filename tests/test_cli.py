@@ -10,7 +10,7 @@ import pytest
 from medsegdet import autodiff as ad
 from medsegdet import trainer
 from medsegdet.cli import gradcheck_suite, main, sample_from_json
-from medsegdet.datagen import read_jsonl
+from medsegdet.datagen import read_jsonl, synth_records, write_jsonl
 from medsegdet.metrics import evaluate_samples
 from medsegdet.trainer import load_checkpoint
 
@@ -145,6 +145,16 @@ def test_train_missing_data_is_data_error(tmp_path):
     code = run("train", "--data", tmp_path / "nope", "--config", cfg,
                "--out", tmp_path / "x.ckpt")
     assert code == 2
+
+
+def test_train_split_of_two_image_shapes_is_data_error(tmp_path, capsys):
+    data = tmp_path / "mixed"
+    data.mkdir()
+    write_jsonl(synth_records(2, seed=3) + synth_records(1, seed=4, hw=(32, 32)), data / "train.jsonl")
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--data", data, "--config", write_config(tmp_path), "--out", out) == 2
+    assert "(64, 64) and (32, 32)" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "m.ckpt.log").exists()
 
 
 def test_train_init_architecture_mismatch_is_usage_error(tmp_path, capsys):

@@ -23,7 +23,6 @@ from medsegdet.datagen import (
     record_to_json,
     split_dataset,
     synth_records,
-    thread_count,
     training_ready,
     write_jsonl,
 )
@@ -91,14 +90,22 @@ def test_pipeline_keep_all_yields_eight_pairs():
 
 
 def test_pipeline_drop_location_halves_counts():
-    records = generate_pipeline(small_set(), MockOracle(policy="drop_location"), threads=1)
+    def drop_location(desc: Description) -> Verdict:
+        return Verdict("drop" if desc.perspective == "location" else "keep")
+
+    records = generate_pipeline(small_set(), MockOracle(policy=drop_location), threads=1)
     for r in records:
         assert len(r.qa) == 4
         assert all(p.perspective == "attribute" for p in r.qa)
 
 
 def test_pipeline_revise_path_rewrites_text():
-    records = generate_pipeline(small_set(), MockOracle(policy="revise_long"), threads=1)
+    def revise_long(desc: Description) -> Verdict:
+        if desc.length == "long":
+            return Verdict("revise", desc.text + ", clearly delineated")
+        return Verdict("keep")
+
+    records = generate_pipeline(small_set(), MockOracle(policy=revise_long), threads=1)
     for r in records:
         long_pairs = [p for p in r.qa if p.length == "long"]
         assert long_pairs and all(", clearly delineated" in p.question for p in long_pairs)
@@ -116,14 +123,11 @@ def test_pipeline_skips_failing_records(caplog):
     assert "skipping record" in caplog.text
 
 
-def test_pipeline_parallel_matches_serial(tmp_path):
-    records = small_set(8, seed=21)
-    serial = generate_pipeline(records, MockOracle(), threads=1)
-    parallel = generate_pipeline(records, MockOracle(), threads=4)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(serial, p1)
-    write_jsonl(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+def test_pipeline_runs_on_one_thread_only():
+    records = small_set(2)
+    with pytest.raises(ValueError, match="threads=4"):
+        generate_pipeline(records, MockOracle(), threads=4)
+    assert generate_pipeline(records, MockOracle()) == generate_pipeline(records, MockOracle(), threads=1)
 
 
 def test_pipeline_byte_identical_reruns(tmp_path):
@@ -143,16 +147,6 @@ def test_training_ready_filters_empty_qa():
     ]})
     ready = training_ready(records)
     assert ready == [records[0]]
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("MEDISEE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("MEDISEE_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("MEDISEE_THREADS")
-    assert thread_count() >= 1
 
 
 # -- splits --------------------------------------------------------------------------

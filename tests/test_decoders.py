@@ -26,19 +26,23 @@ def zero_bbox_params(d=6, hidden=4):
                       b2=z(hidden), w3=z(hidden, 4), b3=z(4))
 
 
+def boxes(*corners):
+    """A (B, 4) corner tensor, one row per box."""
+    return Tensor(np.array(corners, dtype=float).reshape(-1, 4))
+
+
 # -- bbox decoding ------------------------------------------------------------
 
 def test_bbox_decode_zero_logits_gives_centered_half_box():
-    box = bbox_decode(Tensor(np.ones(6)), zero_bbox_params())
-    np.testing.assert_allclose(box.as_floats(), (0.25, 0.25, 0.75, 0.75), atol=1e-15)
+    box = bbox_decode(Tensor(np.ones((1, 6))), zero_bbox_params())
+    np.testing.assert_allclose(box.data, [[0.25, 0.25, 0.75, 0.75]], atol=1e-15)
 
 
 def test_bbox_decode_degenerate_size_still_valid():
     params = zero_bbox_params()
     params.b3.data[:] = [0.0, 0.0, -30.0, -30.0]
-    box = bbox_decode(Tensor(np.zeros(6)), params)
-    box.validate()
-    x1, y1, x2, y2 = box.as_floats()
+    box = bbox_decode(Tensor(np.zeros((1, 6))), params)
+    x1, y1, x2, y2 = BBox(*box.data[0]).validate().as_floats()
     assert x2 - x1 < 1e-10 and abs(x1 - 0.5) < 1e-10
     assert y2 - y1 < 1e-10 and abs(y1 - 0.5) < 1e-10
 
@@ -46,25 +50,37 @@ def test_bbox_decode_degenerate_size_still_valid():
 def test_bbox_decode_always_valid_on_random_inputs():
     rng = np.random.default_rng(0)
     params = init_bbox_params(d=6, hidden=4, seed=1)
-    for _ in range(200):
-        h = rng.normal(scale=rng.choice([0.1, 1.0, 100.0]), size=6)
-        bbox_decode(Tensor(h), params).validate()
+    for _ in range(40):
+        h = rng.normal(size=(5, 6)) * rng.choice([0.1, 1.0, 100.0], size=(5, 1))
+        for row in bbox_decode(Tensor(h), params).data:
+            BBox(*row).validate()
+
+
+def test_bbox_decode_rows_equal_each_embedding_decoded_alone():
+    rng = np.random.default_rng(19)
+    params = init_bbox_params(d=6, hidden=4, seed=20)
+    h = rng.normal(size=(7, 6))
+    batch = bbox_decode(Tensor(h), params).data
+    alone = np.concatenate([bbox_decode(Tensor(row[None]), params).data for row in h])
+    np.testing.assert_allclose(batch, alone, rtol=1e-15, atol=1e-15)
 
 
 def test_bbox_decode_rejects_non_finite():
     params = init_bbox_params(d=6, hidden=4, seed=2)
     with pytest.raises(NonFiniteError):
-        bbox_decode(Tensor([1.0, np.inf, 0.0, 0.0, 0.0, 0.0]), params)
+        bbox_decode(Tensor([[1.0, np.inf, 0.0, 0.0, 0.0, 0.0]]), params)
+    with pytest.raises(ShapeError):
+        bbox_decode(Tensor(np.zeros(6)), params)
 
 
 def test_bbox_decode_gradcheck():
     ad.reset_tape()
     params = init_bbox_params(d=6, hidden=4, seed=3)
-    h = Tensor(np.random.default_rng(4).normal(size=6), requires_grad=True)
+    h = Tensor(np.random.default_rng(4).normal(size=(2, 6)), requires_grad=True)
+    corner_mix = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
     def f():
-        box = bbox_decode(h, params)
-        return box.x1 + box.y1 * 2.0 + box.x2 * 3.0 + box.y2 * 4.0
+        return (bbox_decode(h, params) * corner_mix).sum()
 
     leaves = [h] + [t for t in vars(params).values()]
     assert ad.finite_difference_check(f, leaves, max_coords_per_param=6) < 1e-4
@@ -73,67 +89,77 @@ def test_bbox_decode_gradcheck():
 # -- soft box raster ----------------------------------------------------------
 
 def test_raster_full_box_interior_saturates():
-    grid = soft_box_raster(BBox(0.0, 0.0, 1.0, 1.0), 16, 16, sharpness=200.0)
+    grid = soft_box_raster(boxes(0.0, 0.0, 1.0, 1.0), 16, 16, sharpness=200.0)
+    assert grid.shape == (1, 16, 16)
     assert np.all(grid.data > 0.9)
-    small = soft_box_raster(BBox(0.0, 0.0, 1.0, 1.0), 8, 8, sharpness=50.0)
+    small = soft_box_raster(boxes(0.0, 0.0, 1.0, 1.0), 8, 8, sharpness=50.0)
     assert np.all(small.data > 0.9)
 
 
 def test_raster_point_far_outside_is_small():
-    grid = soft_box_raster(BBox(0.1, 0.1, 0.5, 0.5), 10, 10, sharpness=50.0)
-    assert grid.data[9, 9] < 0.1  # pixel center (0.95, 0.95), far outside
-    assert grid.data[2, 2] > 0.9  # pixel center (0.25, 0.25), deep inside
+    grid = soft_box_raster(boxes(0.1, 0.1, 0.5, 0.5), 10, 10, sharpness=50.0)
+    assert grid.data[0, 9, 9] < 0.1  # pixel center (0.95, 0.95), far outside
+    assert grid.data[0, 2, 2] > 0.9  # pixel center (0.25, 0.25), deep inside
 
 
 def test_raster_values_in_unit_interval_and_differentiable_in_box():
     ad.reset_tape()
-    coords = [Tensor(v, requires_grad=True) for v in (0.2, 0.3, 0.7, 0.9)]
-    box = BBox(*coords)
+    coords = Tensor([[0.2, 0.3, 0.7, 0.9], [0.1, 0.0, 0.4, 0.6]], requires_grad=True)
 
     def f():
-        return soft_box_raster(box, 6, 5, sharpness=50.0).sum()
+        return soft_box_raster(coords, 6, 5, sharpness=50.0).sum()
 
-    grid = soft_box_raster(box, 6, 5, sharpness=50.0)
+    grid = soft_box_raster(coords, 6, 5, sharpness=50.0)
     assert np.all((grid.data > 0) & (grid.data < 1))
-    assert ad.finite_difference_check(f, coords) < 1e-4
+    assert ad.finite_difference_check(f, [coords]) < 1e-4
+
+
+def test_raster_rows_equal_each_box_rastered_alone():
+    corners = np.random.default_rng(21).uniform(size=(4, 4))
+    corners[:, 2:] = corners[:, :2] + 0.5 * corners[:, 2:]
+    batch = soft_box_raster(Tensor(corners), 7, 9).data
+    for row, grid in zip(corners, batch):
+        assert np.array_equal(soft_box_raster(boxes(*row), 7, 9).data[0], grid)
 
 
 def test_raster_rejects_bad_sharpness():
     with pytest.raises(ValueError):
-        soft_box_raster(BBox(0, 0, 1, 1), 4, 4, sharpness=0.0)
+        soft_box_raster(boxes(0, 0, 1, 1), 4, 4, sharpness=0.0)
+    with pytest.raises(ShapeError):
+        soft_box_raster(Tensor([0.0, 0.0, 1.0, 1.0]), 4, 4)
 
 
 # -- dense features & mask decoding -------------------------------------------
 
 def test_dense_features_grid_shape():
     proj = Tensor(np.random.default_rng(5).normal(size=(4, 7)))
-    f = dense_features(np.random.default_rng(6).normal(size=(8, 6)), 2, proj)
-    assert f.grid.shape == (4, 3, 7)
-    assert f.hw == (4, 3) and f.dim == 7
+    f = dense_features(np.random.default_rng(6).normal(size=(2, 8, 6)), 2, proj)
+    assert f.grid.shape == (2, 4, 3, 7)
     with pytest.raises(ShapeError):
-        dense_features(np.zeros((7, 6)), 2, proj)
+        dense_features(np.zeros((1, 7, 6)), 2, proj)
+    with pytest.raises(ShapeError):
+        dense_features(np.zeros((8, 6)), 2, proj)
 
 
 def test_mask_decode_null_prompt_constant_bias():
     rng = np.random.default_rng(7)
-    f = DenseFeatures(Tensor(rng.normal(size=(4, 4, 5))))
+    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
     params = MaskDecoderParams(
         w_p=Tensor(rng.normal(size=(6, 5)), requires_grad=True),
         gamma=Tensor(0.0, requires_grad=True),
         b=Tensor(0.7, requires_grad=True),
     )
-    out = mask_decode(f, Tensor(np.zeros(6)), BBox(0.2, 0.2, 0.8, 0.8), params, (8, 8))
-    np.testing.assert_allclose(out.grid.data, np.full((8, 8), 0.7), atol=1e-12)
+    out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.2, 0.2, 0.8, 0.8), params, (8, 8))
+    np.testing.assert_allclose(out.grid.data, np.full((1, 8, 8), 0.7), atol=1e-12)
 
 
 def test_mask_decode_box_dominated_limit_matches_box_interior():
-    f = DenseFeatures(Tensor(np.zeros((8, 8, 5))))
+    f = DenseFeatures(Tensor(np.zeros((1, 8, 8, 5))))
     params = MaskDecoderParams(
         w_p=Tensor(np.zeros((6, 5))), gamma=Tensor(20.0), b=Tensor(-10.0)
     )
-    box = BBox(0.25, 0.25, 0.75, 0.75)
-    out = mask_decode(f, Tensor(np.zeros(6)), box, params, (32, 32))
-    pred = out.binary()
+    out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.25, 0.25, 0.75, 0.75), params, (32, 32))
+    pred = out.binary()[0]
     ys = (np.arange(32) + 0.5) / 32
     inside = (ys >= 0.25) & (ys <= 0.75)
     expected = inside[:, None] & inside[None, :]
@@ -147,9 +173,9 @@ def test_mask_gradient_reaches_bbox_parameters():
     rng = np.random.default_rng(8)
     bparams = init_bbox_params(d=6, hidden=4, seed=9)
     mparams = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=10)
-    f = DenseFeatures(Tensor(rng.normal(size=(4, 4, 5))))
-    h_det = Tensor(rng.normal(size=6))
-    h_seg = Tensor(rng.normal(size=6))
+    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
+    h_det = Tensor(rng.normal(size=(1, 6)))
+    h_seg = Tensor(rng.normal(size=(1, 6)))
     box = bbox_decode(h_det, bparams)
     out = mask_decode(f, h_seg, box, mparams, (8, 8))
     ad.backward(out.grid.sum())
@@ -164,10 +190,10 @@ def test_mask_decode_linear_in_features_when_box_channel_off():
     params = MaskDecoderParams(
         w_p=Tensor(rng.normal(size=(6, 5))), gamma=Tensor(0.0), b=Tensor(0.0)
     )
-    h_seg = Tensor(rng.normal(size=6))
-    box = BBox(0.1, 0.1, 0.9, 0.9)
-    F1 = rng.normal(size=(4, 4, 5))
-    F2 = rng.normal(size=(4, 4, 5))
+    h_seg = Tensor(rng.normal(size=(1, 6)))
+    box = boxes(0.1, 0.1, 0.9, 0.9)
+    F1 = rng.normal(size=(1, 4, 4, 5))
+    F2 = rng.normal(size=(1, 4, 4, 5))
     a, b = 1.7, -0.4
 
     def run(grid):
@@ -178,61 +204,79 @@ def test_mask_decode_linear_in_features_when_box_channel_off():
     )
 
 
+def test_mask_decode_rows_equal_each_sample_decoded_alone():
+    rng = np.random.default_rng(22)
+    params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=23)
+    grids, prompts = rng.normal(size=(3, 4, 4, 5)), rng.normal(size=(3, 6))
+    corners = np.array([[0.1, 0.2, 0.6, 0.7], [0.3, 0.0, 0.9, 0.5], [0.0, 0.0, 1.0, 1.0]])
+    batch = mask_decode(DenseFeatures(Tensor(grids)), Tensor(prompts), Tensor(corners), params, (8, 8))
+    for i in range(3):
+        alone = mask_decode(
+            DenseFeatures(Tensor(grids[i : i + 1])), Tensor(prompts[i : i + 1]),
+            Tensor(corners[i : i + 1]), params, (8, 8),
+        )
+        np.testing.assert_allclose(batch.grid.data[i], alone.grid.data[0], rtol=1e-13, atol=1e-13)
+
+
 def test_mask_decode_dimension_mismatches_rejected():
     rng = np.random.default_rng(12)
-    f = DenseFeatures(Tensor(rng.normal(size=(4, 4, 5))))
+    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=13)
     with pytest.raises(ShapeError):
-        mask_decode(f, Tensor(np.zeros(7)), BBox(0, 0, 1, 1), params, (8, 8))
-    bad = DenseFeatures(Tensor(rng.normal(size=(4, 4, 9))))
+        mask_decode(f, Tensor(np.zeros((1, 7))), boxes(0, 0, 1, 1), params, (8, 8))
     with pytest.raises(ShapeError):
-        mask_decode(bad, Tensor(np.zeros(6)), BBox(0, 0, 1, 1), params, (8, 8))
+        mask_decode(f, Tensor(np.zeros((2, 6))), boxes(0, 0, 1, 1), params, (8, 8))
+    bad = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 9))))
+    with pytest.raises(ShapeError):
+        mask_decode(bad, Tensor(np.zeros((1, 6))), boxes(0, 0, 1, 1), params, (8, 8))
 
 
 def test_mask_decode_gradcheck():
     ad.reset_tape()
     rng = np.random.default_rng(14)
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=15)
-    h_seg = Tensor(rng.normal(size=6), requires_grad=True)
-    coords = [Tensor(v, requires_grad=True) for v in (0.2, 0.25, 0.8, 0.7)]
-    f = DenseFeatures(Tensor(rng.normal(size=(3, 3, 5))))
-    weights = rng.normal(size=(6, 6))
+    h_seg = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    coords = Tensor([[0.2, 0.25, 0.8, 0.7], [0.1, 0.3, 0.5, 0.9]], requires_grad=True)
+    f = DenseFeatures(Tensor(rng.normal(size=(2, 3, 3, 5))))
+    weights = rng.normal(size=(2, 6, 6))
 
     def loss():
-        out = mask_decode(f, h_seg, BBox(*coords), params, (6, 6))
+        out = mask_decode(f, h_seg, coords, params, (6, 6))
         return (out.grid * weights).sum()
 
-    leaves = [h_seg, params.w_p, params.gamma, params.b] + coords
+    leaves = [h_seg, params.w_p, params.gamma, params.b, coords]
     assert ad.finite_difference_check(loss, leaves, max_coords_per_param=8) < 1e-4
 
 
 # -- similarity map -----------------------------------------------------------
 
 def test_similarity_zero_prompt_gives_zero_map():
-    h_img = Tensor(np.random.default_rng(16).normal(size=(5, 4)))
-    out = similarity_map(h_img, Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(out.data, np.zeros(5))
+    h_img = Tensor(np.random.default_rng(16).normal(size=(1, 5, 4)))
+    out = similarity_map(h_img, Tensor(np.zeros((1, 4))))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
 
 
 def test_similarity_orthonormal_rows_one_hot():
-    h_img = Tensor(np.eye(4))
-    out = similarity_map(h_img, Tensor(np.eye(4)[2]))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 1.0, 0.0])
+    h_img = Tensor(np.eye(4)[None])
+    out = similarity_map(h_img, Tensor(np.eye(4)[2][None]))
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0, 1.0, 0.0]])
 
 
 def test_similarity_matches_naive_loop():
     rng = np.random.default_rng(17)
-    h_img = rng.normal(size=(7, 5))
-    h_seg = rng.normal(size=5)
+    h_img = rng.normal(size=(2, 7, 5))
+    h_seg = rng.normal(size=(2, 5))
     out = similarity_map(Tensor(h_img), Tensor(h_seg)).data
-    expected = np.array([sum(h_img[p][k] * h_seg[k] for k in range(5)) for p in range(7)])
+    expected = np.array(
+        [[sum(h_img[b][p][k] * h_seg[b][k] for k in range(5)) for p in range(7)] for b in range(2)]
+    )
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_similarity_homogeneous_in_prompt():
     rng = np.random.default_rng(18)
-    h_img = Tensor(rng.normal(size=(6, 4)))
-    h_seg = rng.normal(size=4)
+    h_img = Tensor(rng.normal(size=(1, 6, 4)))
+    h_seg = rng.normal(size=(1, 4))
     # scale by a power of two so floating-point scaling is exact
     a = similarity_map(h_img, Tensor(2.0 * h_seg)).data
     b = 2.0 * similarity_map(h_img, Tensor(h_seg)).data
@@ -241,4 +285,6 @@ def test_similarity_homogeneous_in_prompt():
 
 def test_similarity_dimension_mismatch():
     with pytest.raises(ShapeError):
-        similarity_map(Tensor(np.zeros((3, 4))), Tensor(np.zeros(5)))
+        similarity_map(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 5))))
+    with pytest.raises(ShapeError):
+        similarity_map(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 4))))

@@ -67,6 +67,21 @@ def rand_box(rng):
     return BBox(x[0], y[0], x[1], y[1])
 
 
+def rows(*boxes):
+    """A (B, 4) corner tensor of predicted boxes."""
+    return Tensor([b.as_floats() for b in boxes])
+
+
+def targets(*boxes):
+    """A (B, 4) array of target boxes."""
+    return [b.as_floats() for b in boxes]
+
+
+def one(grid):
+    """One sample's (H, W) grid as a batch of one."""
+    return np.asarray(grid, dtype=float)[None]
+
+
 # -- text cross-entropy --------------------------------------------------------
 
 def test_ce_forced_target_near_zero():
@@ -123,13 +138,13 @@ def test_ce_gradcheck():
 # -- mask loss -------------------------------------------------------------------
 
 def hard_logits(mask, mag=40.0):
-    return Tensor(np.where(np.asarray(mask, bool), mag, -mag))
+    return Tensor(np.where(np.asarray(mask, bool), mag, -mag)[None])
 
 
 def test_mask_loss_perfect_prediction():
     gt = np.zeros((6, 6))
     gt[1:4, 2:5] = 1
-    bce, dice, total = mask_loss(MaskLogits(hard_logits(gt)), gt, W)
+    bce, dice, total = mask_loss(MaskLogits(hard_logits(gt)), one(gt), W)
     assert float(bce.data) < 1e-12
     assert float(dice.data) < 1e-6
     assert float(total.data) < 1e-5
@@ -137,7 +152,7 @@ def test_mask_loss_perfect_prediction():
 
 def test_mask_loss_empty_gt_strong_negative_pred():
     gt = np.zeros((8, 8))
-    bce, dice, total = mask_loss(MaskLogits(Tensor(np.full((8, 8), -40.0))), gt, W)
+    bce, dice, total = mask_loss(MaskLogits(Tensor(np.full((1, 8, 8), -40.0))), one(gt), W)
     assert np.isfinite(float(dice.data))
     assert float(dice.data) < 1e-6
     assert float(bce.data) < 1e-12
@@ -148,30 +163,32 @@ def test_mask_loss_half_overlap_dice():
     pred[:, :2] = 1  # left half
     gt = np.zeros((4, 4))
     gt[:2, :] = 1  # top half
-    _, dice, _ = mask_loss(MaskLogits(hard_logits(pred)), gt, W)
+    _, dice, _ = mask_loss(MaskLogits(hard_logits(pred)), one(gt), W)
     assert float(dice.data) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_mask_loss_weighted_composition_and_shapes():
     rng = np.random.default_rng(3)
-    z = Tensor(rng.normal(size=(5, 5)))
-    gt = (rng.uniform(size=(5, 5)) > 0.5).astype(float)
+    z = Tensor(rng.normal(size=(2, 5, 5)))
+    gt = (rng.uniform(size=(2, 5, 5)) > 0.5).astype(float)
     bce, dice, total = mask_loss(MaskLogits(z), gt, W)
     assert float(total.data) == pytest.approx(
         2.0 * float(bce.data) + 0.5 * float(dice.data), abs=1e-12
     )
     assert float(bce.data) >= 0 and 0 <= float(dice.data) <= 1
     with pytest.raises(ShapeError):
-        mask_loss(MaskLogits(z), np.zeros((4, 5)), W)
+        mask_loss(MaskLogits(z), np.zeros((2, 4, 5)), W)
+    with pytest.raises(ShapeError):
+        mask_loss(MaskLogits(Tensor(z.data[0])), gt[0], W)
 
 
 def test_mask_loss_gradcheck():
     ad.reset_tape()
     rng = np.random.default_rng(4)
-    z = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    gt = (rng.uniform(size=(4, 4)) > 0.4).astype(float)
+    z = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    gt = (rng.uniform(size=(2, 4, 4)) > 0.4).astype(float)
     err = ad.finite_difference_check(
-        lambda: mask_loss(MaskLogits(z), gt, W)[2], [z], max_coords_per_param=16
+        lambda: mask_loss(MaskLogits(z), gt, W)[2], [z], max_coords_per_param=32
     )
     assert err < 1e-4
 
@@ -180,14 +197,14 @@ def test_mask_loss_gradcheck():
 
 def test_bbox_loss_identity():
     box = BBox(0.2, 0.2, 0.7, 0.6)
-    l1, gl, total = bbox_loss(box, BBox(0.2, 0.2, 0.7, 0.6), W)
+    l1, gl, total = bbox_loss(rows(box), targets(BBox(0.2, 0.2, 0.7, 0.6)), W)
     assert float(l1.data) == 0.0
     assert abs(float(gl.data)) < 1e-9
     assert abs(float(total.data)) < 1e-9
 
 
 def test_bbox_loss_disjoint_corner_boxes():
-    l1, gl, _ = bbox_loss(BBox(0.0, 0.0, 0.5, 0.5), BBox(0.5, 0.5, 1.0, 1.0), W)
+    l1, gl, _ = bbox_loss(rows(BBox(0.0, 0.0, 0.5, 0.5)), targets(BBox(0.5, 0.5, 1.0, 1.0)), W)
     assert float(gl.data) == pytest.approx(1.5, abs=1e-9)
     oracle = raster_giou((0, 0, 0.5, 0.5), (0.5, 0.5, 1, 1))
     assert 1.0 - float(gl.data) == pytest.approx(oracle, abs=2e-3)
@@ -204,7 +221,7 @@ def test_bbox_loss_matches_raster_oracle_on_random_boxes():
             return BBox(x1, y1, x1 + w, y1 + h)
 
         a, b = sized_box(), sized_box()
-        _, gl, _ = bbox_loss(a, b, W)
+        _, gl, _ = bbox_loss(rows(a), targets(b), W)
         oracle = raster_giou(a.as_floats(), b.as_floats(), n=2000)
         assert 1.0 - float(gl.data) == pytest.approx(oracle, abs=2e-3)
 
@@ -212,7 +229,7 @@ def test_bbox_loss_matches_raster_oracle_on_random_boxes():
 def test_bbox_loss_translation_l1():
     a = BBox(0.2, 0.3, 0.5, 0.6)
     b = BBox(0.3, 0.3, 0.6, 0.6)  # shifted by 0.1 in x
-    l1, _, _ = bbox_loss(a, b, W)
+    l1, _, _ = bbox_loss(rows(a), targets(b), W)
     assert float(l1.data) == pytest.approx(0.05, abs=1e-12)
 
 
@@ -220,7 +237,7 @@ def test_bbox_loss_range_and_composition():
     rng = np.random.default_rng(6)
     for _ in range(25):
         a, b = rand_box(rng), rand_box(rng)
-        l1, gl, total = bbox_loss(a, b, W)
+        l1, gl, total = bbox_loss(rows(a), targets(b), W)
         assert 0 <= float(gl.data) <= 2.0 + 1e-9
         assert float(l1.data) >= 0
         assert float(total.data) == pytest.approx(
@@ -230,24 +247,28 @@ def test_bbox_loss_range_and_composition():
 
 def test_bbox_loss_rejects_invalid_box():
     with pytest.raises(ValueError):
-        bbox_loss(BBox(0.5, 0.0, 0.2, 1.0), BBox(0, 0, 1, 1), W)
+        bbox_loss(Tensor([[0.5, 0.0, 0.2, 1.0]]), targets(BBox(0, 0, 1, 1)), W)
+    with pytest.raises(ValueError):
+        bbox_loss(rows(BBox(0, 0, 1, 1)), [[0.0, 0.6, 1.0, 0.5]], W)
+    with pytest.raises(ShapeError):
+        bbox_loss(rows(BBox(0, 0, 1, 1)), targets(BBox(0, 0, 1, 1), BBox(0, 0, 1, 1)), W)
 
 
 def test_bbox_loss_gradcheck():
     ad.reset_tape()
-    coords = [Tensor(v, requires_grad=True) for v in (0.21, 0.33, 0.58, 0.74)]
-    gt = BBox(0.4, 0.2, 0.9, 0.55)
+    coords = Tensor([[0.21, 0.33, 0.58, 0.74], [0.05, 0.10, 0.45, 0.35]], requires_grad=True)
+    gt = [[0.4, 0.2, 0.9, 0.55], [0.10, 0.20, 0.30, 0.60]]
 
     def f():
-        return bbox_loss(BBox(*coords), gt, W)[2]
+        return bbox_loss(coords, gt, W)[2]
 
-    assert ad.finite_difference_check(f, coords) < 1e-4
+    assert ad.finite_difference_check(f, [coords]) < 1e-4
 
 
 # -- similarity loss -------------------------------------------------------------
 
 def test_sim_loss_identity_is_zero():
-    v = Tensor(np.array([0.3, -1.2, 2.0]))
+    v = Tensor(np.array([[0.3, -1.2, 2.0], [1.0, 0.0, -4.0]]))
     js, mse, total = sim_loss(v, Tensor(v.data.copy()), W)
     assert float(js.data) == 0.0
     assert float(mse.data) == 0.0
@@ -255,8 +276,8 @@ def test_sim_loss_identity_is_zero():
 
 
 def test_sim_loss_opposite_one_hots_reach_ln2():
-    a = Tensor(np.array([50.0, -50.0]))
-    b = Tensor(np.array([-50.0, 50.0]))
+    a = Tensor(np.array([[50.0, -50.0]]))
+    b = Tensor(np.array([[-50.0, 50.0]]))
     js, _, _ = sim_loss(a, b, W)
     assert float(js.data) == pytest.approx(np.log(2), abs=1e-12)
     assert float(js.data) <= np.log(2) + 1e-12
@@ -267,8 +288,8 @@ def test_sim_loss_matches_naive_oracle_and_symmetry():
     for _ in range(20):
         a = rng.normal(scale=2, size=6)
         b = rng.normal(scale=2, size=6)
-        js_ab, mse, _ = sim_loss(Tensor(a), Tensor(b), W)
-        js_ba, _, _ = sim_loss(Tensor(b), Tensor(a), W)
+        js_ab, mse, _ = sim_loss(Tensor(a[None]), Tensor(b[None]), W)
+        js_ba, _, _ = sim_loss(Tensor(b[None]), Tensor(a[None]), W)
         assert float(js_ab.data) == pytest.approx(naive_js(a, b), abs=1e-12)
         assert float(js_ab.data) == pytest.approx(float(js_ba.data), abs=1e-12)
         assert float(js_ab.data) <= np.log(2) + 1e-12
@@ -277,8 +298,8 @@ def test_sim_loss_matches_naive_oracle_and_symmetry():
 
 def test_sim_loss_reference_is_detached():
     ad.reset_tape()
-    pred = Tensor(np.array([0.5, 1.0, -0.3]), requires_grad=True)
-    ref = Tensor(np.array([1.0, -1.0, 0.2]), requires_grad=True)
+    pred = Tensor(np.array([[0.5, 1.0, -0.3]]), requires_grad=True)
+    ref = Tensor(np.array([[1.0, -1.0, 0.2]]), requires_grad=True)
     _, _, total = sim_loss(pred, ref, W)
     ad.backward(total)
     assert np.any(pred.grad != 0)
@@ -287,15 +308,17 @@ def test_sim_loss_reference_is_detached():
 
 def test_sim_loss_gradcheck():
     ad.reset_tape()
-    pred = Tensor(np.random.default_rng(8).normal(size=5), requires_grad=True)
-    ref = Tensor(np.random.default_rng(9).normal(size=5))
+    pred = Tensor(np.random.default_rng(8).normal(size=(2, 5)), requires_grad=True)
+    ref = Tensor(np.random.default_rng(9).normal(size=(2, 5)))
     err = ad.finite_difference_check(lambda: sim_loss(pred, ref, W)[2], [pred])
     assert err < 1e-4
 
 
 def test_sim_loss_length_mismatch():
     with pytest.raises(ShapeError):
-        sim_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)), W)
+        sim_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), W)
+    with pytest.raises(ShapeError):
+        sim_loss(Tensor(np.zeros(3)), Tensor(np.zeros(3)), W)
 
 
 # -- composition ------------------------------------------------------------------
@@ -345,16 +368,40 @@ def test_compose_total_gradient_is_sum_of_parts():
 
 def test_report_scalars_and_weighted_composition():
     rng = np.random.default_rng(11)
-    z = Tensor(rng.normal(size=(4, 4)))
-    gt = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
+    z = Tensor(rng.normal(size=(1, 4, 4)))
+    gt = (rng.uniform(size=(1, 4, 4)) > 0.5).astype(float)
     bce, dice, mask_total = mask_loss(MaskLogits(z), gt, W)
-    l1, gl, bbox_total = bbox_loss(rand_box(rng), rand_box(rng), W)
+    l1, gl, bbox_total = bbox_loss(rows(rand_box(rng)), targets(rand_box(rng)), W)
     txt = Tensor(0.37)
     rep = compose_end(txt, mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=gl)
     s = rep.scalars()
     assert s["total"] == pytest.approx(s["txt"] + s["mask"] + s["bbox"], abs=1e-10)
     assert s["mask"] == pytest.approx(2.0 * s["bce"] + 0.5 * s["dice"], abs=1e-10)
     assert s["bbox"] == pytest.approx(s["l1"] + s["giou"], abs=1e-10)
+
+
+def test_batch_losses_are_means_of_single_sample_losses():
+    rng = np.random.default_rng(12)
+    B = 4
+    z = rng.normal(size=(B, 5, 6))
+    gt = rng.uniform(size=(B, 5, 6)) > 0.5
+    pred_boxes = [rand_box(rng) for _ in range(B)]
+    gt_boxes = [rand_box(rng) for _ in range(B)]
+    sp, sr = rng.normal(size=(B, 7)), rng.normal(size=(B, 7))
+    batch = [
+        mask_loss(MaskLogits(Tensor(z)), gt, W),
+        bbox_loss(rows(*pred_boxes), targets(*gt_boxes), W),
+        sim_loss(Tensor(sp), Tensor(sr), W),
+    ]
+    single = [
+        [mask_loss(MaskLogits(Tensor(z[i : i + 1])), gt[i : i + 1], W) for i in range(B)],
+        [bbox_loss(rows(pred_boxes[i]), targets(gt_boxes[i]), W) for i in range(B)],
+        [sim_loss(Tensor(sp[i : i + 1]), Tensor(sr[i : i + 1]), W) for i in range(B)],
+    ]
+    for parts, alone in zip(batch, single):
+        for k, part in enumerate(parts):
+            mean = np.mean([float(a[k].data) for a in alone])
+            assert float(part.data) == pytest.approx(mean, rel=1e-13, abs=1e-15)
 
 
 def test_negative_weights_rejected():

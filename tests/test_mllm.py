@@ -22,8 +22,8 @@ from medsegdet.mllm import (
     decode_text,
     encode_image_patches,
     encode_text,
+    candidate_bundles,
     expand_vocabulary,
-    extract_candidate_embeddings,
     forward,
     forward_packed,
     init_params,
@@ -84,6 +84,16 @@ def test_encode_image_patches_localized_difference():
     r2 = encode_image_patches(img2, 2, proj).data
     diff = np.any(r1 != r2, axis=1)
     assert diff.tolist() == [False, False, True, False]
+
+
+def test_encode_image_patches_of_a_stack_equal_each_image_alone():
+    rng = np.random.default_rng(26)
+    proj = Tensor(rng.normal(size=(4, 5)))
+    images = rng.uniform(size=(3, 4, 6))
+    rows = encode_image_patches(images, 2, proj)
+    assert rows.shape == (3, 6, 5)
+    for image, own in zip(images, rows.data):
+        np.testing.assert_allclose(own, encode_image_patches(image, 2, proj).data, rtol=1e-15, atol=1e-15)
 
 
 def test_encode_image_patches_rejects_indivisible():
@@ -330,6 +340,11 @@ def expanded_small(seed=14):
     return expand_vocabulary(params, 2, seed=seed + 1)
 
 
+def extract(hidden, seq, vocab):
+    """The one-sequence batch of ``candidate_bundles``."""
+    return candidate_bundles(hidden, [0, hidden.shape[0]], [seq], vocab)
+
+
 def test_extract_candidate_rows_match_hidden():
     vocab = VocabSpec(base_size=16, num_candidates=2)
     params = expanded_small()
@@ -337,11 +352,11 @@ def test_extract_candidate_rows_match_hidden():
     seq = build_sequence(patches, [1, 2, 3], [4, 5, 16, 17, EOS_ID], vocab)
     assert seq.candidate_positions == [5, 6]
     hidden, _ = forward(seq, params)
-    bundle = extract_candidate_embeddings(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0], hidden.data[2 + 5])
-    np.testing.assert_array_equal(bundle.candidates.data[1], hidden.data[2 + 6])
-    assert bundle.h_img.shape == (2, 8)
-    assert bundle.h_txt.shape == (8, 8)
+    bundle = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[2 + 5])
+    np.testing.assert_array_equal(bundle.candidates.data[0, 1], hidden.data[2 + 6])
+    np.testing.assert_array_equal(bundle.h_img.data[0], hidden.data[:2])
+    assert bundle.candidates.shape == (1, 2, 8)
 
 
 def test_extract_orders_by_candidate_id_not_position():
@@ -349,9 +364,9 @@ def test_extract_orders_by_candidate_id_not_position():
     params = expanded_small(seed=16)
     seq = build_sequence(no_patches(8), [1], [17, 9, 16], vocab)
     hidden, _ = forward(seq, params)
-    bundle = extract_candidate_embeddings(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0], hidden.data[3])  # id 16
-    np.testing.assert_array_equal(bundle.candidates.data[1], hidden.data[1])  # id 17
+    bundle = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[3])  # id 16
+    np.testing.assert_array_equal(bundle.candidates.data[0, 1], hidden.data[1])  # id 17
 
 
 def test_extract_candidate_absent():
@@ -360,7 +375,7 @@ def test_extract_candidate_absent():
     seq = build_sequence(no_patches(8), [1], [16, 5], vocab)
     hidden, _ = forward(seq, params)
     with pytest.raises(CandidateAbsentError):
-        extract_candidate_embeddings(hidden, seq, vocab)
+        extract(hidden, seq, vocab)
 
 
 def test_extract_duplicate_candidate_rejected():
@@ -369,7 +384,7 @@ def test_extract_duplicate_candidate_rejected():
     seq = build_sequence(no_patches(8), [1], [16, 17, 16], vocab)
     hidden, _ = forward(seq, params)
     with pytest.raises(DuplicateCandidateError):
-        extract_candidate_embeddings(hidden, seq, vocab)
+        extract(hidden, seq, vocab)
 
 
 def test_prompt_region_candidates_ignored():
@@ -377,8 +392,26 @@ def test_prompt_region_candidates_ignored():
     params = expanded_small(seed=19)
     seq = build_sequence(no_patches(8), [16, 17], [16, 17], vocab)
     hidden, _ = forward(seq, params)
-    bundle = extract_candidate_embeddings(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0], hidden.data[2])
+    bundle = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[2])
+
+
+def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
+    vocab = VocabSpec(base_size=16, num_candidates=2)
+    params = expanded_small(seed=23)
+    seqs = [
+        build_sequence(rand_patches(2, 8, seed=24), [1, 2], [16, 3, 17], vocab),
+        build_sequence(rand_patches(2, 8, seed=25), [4], [5, 17, 6, 16, EOS_ID], vocab),
+    ]
+    hidden, offsets = forward_packed(seqs, params)
+    bundle = candidate_bundles(hidden, offsets, seqs, vocab)
+    assert bundle.candidates.shape == (2, 2, 8) and bundle.h_img.shape == (2, 2, 8)
+    for i, seq in enumerate(seqs):
+        own = hidden.data[offsets[i] : offsets[i + 1]]
+        np.testing.assert_array_equal(bundle.candidates.data[i], extract(Tensor(own), seq, vocab).candidates.data[0])
+        np.testing.assert_array_equal(bundle.h_img.data[i], own[:2])
+    with pytest.raises(ShapeError, match="2 and 0 image patches"):
+        candidate_bundles(hidden, offsets, [seqs[0], build_sequence(no_patches(8), [4], [16, 17], vocab)], vocab)
 
 
 # -- vocabulary expansion -----------------------------------------------------

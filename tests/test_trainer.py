@@ -8,7 +8,7 @@ import pytest
 
 import medsegdet.autodiff as ad
 from medsegdet import trainer
-from medsegdet.autodiff import Tensor
+from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.cli import PRESETS
 from medsegdet.datagen import QAPair, candidate_placeholders, synth_records
 from medsegdet.fusion import FusionConfig
@@ -395,111 +395,137 @@ def test_overfit_step_tape_holds_only_nodes_that_need_grad():
     batch = [next(sampler) for _ in range(cfg.batch_size)]
     train_step(model, batch, 0, cfg, init_opt_state(model.trainable()))
     nodes = ad.active_tape().nodes
-    assert len(nodes) <= 1600
+    assert len(nodes) <= 250
     assert all(n.grad_fn is not None or n.tensor.requires_grad for n in nodes)
 
 
+@pytest.mark.parametrize("preset", ["overfit", "finetune"])
+def test_step_records_as_many_nodes_at_batch_2_as_at_batch_10(preset):
+    # the heads and losses run once on (B, ...) tensors, so the tape does not grow with B
+    records = short_qa_records(16, seed=0)
+    counts = []
+    for batch_size in (2, 10):
+        cfg = TrainConfig.from_dict({**PRESETS[preset], "mix_ratio": [1, 1], "batch_size": batch_size})
+        model = init_model(cfg)
+        sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+        train_step(model, [next(sampler) for _ in range(batch_size)], 0, cfg, init_opt_state(model.trainable()))
+        counts.append(len(ad.active_tape().nodes))
+    assert counts[0] == counts[1]
+
+
+def test_train_step_rejects_a_batch_of_two_image_shapes():
+    cfg, model, _ = build_tiny()
+    big, small = synth_records(1, seed=1)[0], synth_records(1, seed=2, hw=(32, 32))[0]
+    batch = [
+        TrainSample(r, f"Segment the {r.label}.", default_answer(r.label, 2), "referring", r.label)
+        for r in (big, small)
+    ]
+    with pytest.raises(ShapeError, match=r"\(64, 64\) and \(32, 32\)"):
+        train_step(model, batch, 0, cfg, init_opt_state(model.trainable()))
+
+
 # float-hex total losses and per-parameter gradient hashes (sha256 over the
-# gradients of every step, first 16 hex digits), recorded when the batch's
-# sequences were first packed into one LM pass (step-0 loss within 3e-16
-# relative and gradients within 3e-15 of the per-sample pass before it)
+# gradients of every step, first 16 hex digits), recorded when fusion, the
+# decoders and their losses first ran once per batch on (B, ...) tensors
+# (step-0 loss within 2.3e-16 relative and gradients within 9.1e-15 of the
+# per-sample heads before it)
 RECORDED_STEPS = {
     "end2end": (
-        ("0x1.ecf4ba88fa221p+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b9p+2"),
+        ("0x1.ecf4ba88fa221p+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b8p+2"),
         {
-            "mllm.tok_emb": "2b431b1f6ab5a395",
-            "mllm.pos_emb": "c25d6335cbd8a461",
-            "mllm.out_proj": "e7a86ded98e01a7a",
-            "mllm.blocks.0.ln1_g": "06c1b4869bb2da8c",
-            "mllm.blocks.0.ln1_b": "541b4e0337449c73",
-            "mllm.blocks.0.wq": "f69a176b2ee70d51",
-            "mllm.blocks.0.wk": "e4e2bb773c12f311",
-            "mllm.blocks.0.wv": "b2e5e94ea83e7c62",
-            "mllm.blocks.0.wo": "4deb3830f06b35a1",
-            "mllm.blocks.0.ln2_g": "ace49d6db8cb8cac",
-            "mllm.blocks.0.ln2_b": "791c53db712f8413",
-            "mllm.blocks.0.w1": "21979b8092d8a960",
-            "mllm.blocks.0.b1": "4ae93738ee13696d",
-            "mllm.blocks.0.w2": "8a7869d1fd78bcf4",
-            "mllm.blocks.0.b2": "956e6f01540bdb29",
-            "mllm.blocks.1.ln1_g": "3b641d07476a73be",
-            "mllm.blocks.1.ln1_b": "b10c479d354c8977",
-            "mllm.blocks.1.wq": "2f2a28ed47c72f97",
-            "mllm.blocks.1.wk": "20efff183df5ef1e",
-            "mllm.blocks.1.wv": "a0241065554c2c9c",
-            "mllm.blocks.1.wo": "2355db0b993d24d0",
-            "mllm.blocks.1.ln2_g": "153e1b0e2f402177",
-            "mllm.blocks.1.ln2_b": "217566b0e23caf3d",
-            "mllm.blocks.1.w1": "e0caa0c98b91b818",
-            "mllm.blocks.1.b1": "714ebfee8a7cc091",
-            "mllm.blocks.1.w2": "58be5a0fd78410ff",
-            "mllm.blocks.1.b2": "743c1886ddbab594",
-            "router.seg_w1": "d9e525fa15fd4566",
-            "router.seg_b1": "ffb135fd825ba05a",
-            "router.seg_w2": "e38ef06a5b5cdb0d",
-            "router.seg_b2": "260c8f586ee590a6",
-            "router.det_w1": "0cdb73dbec9042e4",
-            "router.det_b1": "39b02c7c141d288d",
-            "router.det_w2": "d4e78e702c8fd4f7",
-            "router.det_b2": "3219ddc42f1f2586",
-            "bbox.w1": "06fbb309d4ec0b45",
-            "bbox.b1": "3528d2f5dfd71c4a",
-            "bbox.w2": "2bdc8ceaed5d1142",
-            "bbox.b2": "306458e001ab7e3b",
-            "bbox.w3": "4790923b8b8c5e0f",
-            "bbox.b3": "7ee0b327ef3171ff",
-            "maskdec.w_p": "e1737baacfb6e85b",
-            "maskdec.gamma": "97a2a1a99cef603a",
-            "maskdec.b": "1b614a538ff04074",
+            "mllm.tok_emb": "8938a427edcb1c91",
+            "mllm.pos_emb": "13517cfca29b896f",
+            "mllm.out_proj": "39e24666c6b8800d",
+            "mllm.blocks.0.ln1_g": "bb9561cacf0fae3e",
+            "mllm.blocks.0.ln1_b": "9c9fb5f42fd453fd",
+            "mllm.blocks.0.wq": "168a220e40dd37a2",
+            "mllm.blocks.0.wk": "19cb26b486de92f6",
+            "mllm.blocks.0.wv": "00736ca80a780484",
+            "mllm.blocks.0.wo": "1ffc8cf02fc0d0f5",
+            "mllm.blocks.0.ln2_g": "0e4651330180ef06",
+            "mllm.blocks.0.ln2_b": "e21b13755e8934e4",
+            "mllm.blocks.0.w1": "bfb260638850183a",
+            "mllm.blocks.0.b1": "1dd15c2443a12f90",
+            "mllm.blocks.0.w2": "c93ad0587b9158a8",
+            "mllm.blocks.0.b2": "1df2cf8b981b10ab",
+            "mllm.blocks.1.ln1_g": "480cafbd0612463c",
+            "mllm.blocks.1.ln1_b": "826778036689048a",
+            "mllm.blocks.1.wq": "c70c536e9e5acfea",
+            "mllm.blocks.1.wk": "02b652b3543ce5b4",
+            "mllm.blocks.1.wv": "ba1e203fda0c731c",
+            "mllm.blocks.1.wo": "266a5a54793bf488",
+            "mllm.blocks.1.ln2_g": "30a72c7f1306dfb0",
+            "mllm.blocks.1.ln2_b": "af0ad372801cbde0",
+            "mllm.blocks.1.w1": "f75a8e34fbba33fb",
+            "mllm.blocks.1.b1": "41a08ec4d539c009",
+            "mllm.blocks.1.w2": "805317015de2ab6b",
+            "mllm.blocks.1.b2": "18c18f98f7d487bc",
+            "router.seg_w1": "c2273f8191341ea0",
+            "router.seg_b1": "9722a6eea5a6b760",
+            "router.seg_w2": "37fcf846c1a07c69",
+            "router.seg_b2": "25c7dc5265083891",
+            "router.det_w1": "6a0ec586351e846d",
+            "router.det_b1": "116d7645ea5a59bd",
+            "router.det_w2": "4e9d123359ab368f",
+            "router.det_b2": "c268632463958418",
+            "bbox.w1": "847b6c5fec73f78b",
+            "bbox.b1": "8b0fc24bf1cd2743",
+            "bbox.w2": "94b0df7e0a729737",
+            "bbox.b2": "000a8a7cb13fe8c4",
+            "bbox.w3": "76ad3693dc6758e0",
+            "bbox.b3": "23e18a9f85f251c2",
+            "maskdec.w_p": "20c4a43ccaf7c967",
+            "maskdec.gamma": "b96a83a39715ca18",
+            "maskdec.b": "8f508f2101ab0690",
         },
     ),
     "finetune": (
-        ("0x1.84c1af5aa3d0cp+7", "0x1.052ed1f53d2e2p+8"),
+        ("0x1.84c1af5aa3d10p+7", "0x1.052ed1f53d2e4p+8"),
         {
-            "mllm.tok_emb": "0e816c06189f8a98",
-            "mllm.pos_emb": "ee6973ae92a44569",
-            "mllm.out_proj": "3cfee9fd73deaa80",
-            "mllm.blocks.0.ln1_g": "f5f37b940476454a",
-            "mllm.blocks.0.ln1_b": "df2d458fa4701a36",
-            "mllm.blocks.0.wq": "35b2f64108b8dfc5",
-            "mllm.blocks.0.wk": "e3dcb6e141f2fecc",
-            "mllm.blocks.0.wv": "055294669ba158e5",
-            "mllm.blocks.0.wo": "5c32f9d6d84bc9d2",
-            "mllm.blocks.0.ln2_g": "058782e866ab2537",
-            "mllm.blocks.0.ln2_b": "e90af3c16012d1f2",
-            "mllm.blocks.0.w1": "1fe2a2c67b6bce42",
-            "mllm.blocks.0.b1": "ec82460a752f0e58",
-            "mllm.blocks.0.w2": "0ab0b9d1d3d6494f",
-            "mllm.blocks.0.b2": "2746cc84be382099",
-            "mllm.blocks.1.ln1_g": "02ed942b3f5297db",
-            "mllm.blocks.1.ln1_b": "7422c447e10b5da2",
-            "mllm.blocks.1.wq": "394803cc38ec45a8",
-            "mllm.blocks.1.wk": "00e19830601ebe72",
-            "mllm.blocks.1.wv": "fd35a7c1ab30e884",
-            "mllm.blocks.1.wo": "79d6972b67b099c1",
-            "mllm.blocks.1.ln2_g": "f41d4deeb90349a8",
-            "mllm.blocks.1.ln2_b": "8f4aa28108b4874e",
-            "mllm.blocks.1.w1": "b9337664eef70cb6",
-            "mllm.blocks.1.b1": "517f6194a039d039",
-            "mllm.blocks.1.w2": "5243b91b4471cde4",
-            "mllm.blocks.1.b2": "cf23b27b147ef63a",
-            "router.seg_w1": "8d64d5658cead8da",
-            "router.seg_b1": "aecff133894d003a",
-            "router.seg_w2": "9ca1b80dfadec6ad",
-            "router.seg_b2": "25f24d7da2c34eaa",
-            "router.det_w1": "d3fe8e5e8033e2f8",
-            "router.det_b1": "912e95a22bdbadfb",
-            "router.det_w2": "4e08d0c978b7b635",
-            "router.det_b2": "e2b3617262c265df",
-            "bbox.w1": "d46cb9bd4d480947",
-            "bbox.b1": "2e6e9a7a111fb945",
-            "bbox.w2": "5f102697dd66a5b2",
-            "bbox.b2": "35ccb3fa9722b2a6",
-            "bbox.w3": "5554e1ea6badd4a1",
-            "bbox.b3": "e98949ed75ef974b",
-            "maskdec.w_p": "b15a7ea72aa0332e",
-            "maskdec.gamma": "f5a24cfc75c56283",
-            "maskdec.b": "e2ec552f51ed4587",
+            "mllm.tok_emb": "7eb0084c9bae9a15",
+            "mllm.pos_emb": "8584ef09d61565f1",
+            "mllm.out_proj": "b0481d18a701c3a0",
+            "mllm.blocks.0.ln1_g": "3bc1a23cc9ae9c3d",
+            "mllm.blocks.0.ln1_b": "777589b367482ce4",
+            "mllm.blocks.0.wq": "5c3d0f76e0d39795",
+            "mllm.blocks.0.wk": "25ae7df7e4208190",
+            "mllm.blocks.0.wv": "cf483bdba4c76418",
+            "mllm.blocks.0.wo": "396d3e3884293ff2",
+            "mllm.blocks.0.ln2_g": "1923fd1d85cbb2ee",
+            "mllm.blocks.0.ln2_b": "7b8cb5d5852f79ac",
+            "mllm.blocks.0.w1": "f5f37283dcf0660a",
+            "mllm.blocks.0.b1": "33e83117d43e0ea2",
+            "mllm.blocks.0.w2": "b5931b1fbb9af48c",
+            "mllm.blocks.0.b2": "c1aeecd358dbcd9e",
+            "mllm.blocks.1.ln1_g": "e9bba97be8679a98",
+            "mllm.blocks.1.ln1_b": "3b067bb63af0c685",
+            "mllm.blocks.1.wq": "507da6462c166f94",
+            "mllm.blocks.1.wk": "4b310605d604f331",
+            "mllm.blocks.1.wv": "9e089e732e1c5e12",
+            "mllm.blocks.1.wo": "1df733dd5ca4df55",
+            "mllm.blocks.1.ln2_g": "f59c49814cb62d28",
+            "mllm.blocks.1.ln2_b": "f727bb2a92294278",
+            "mllm.blocks.1.w1": "e4588423237e3879",
+            "mllm.blocks.1.b1": "79656651e1391b38",
+            "mllm.blocks.1.w2": "70bf8180114e59b8",
+            "mllm.blocks.1.b2": "6beaaf64bb17d88e",
+            "router.seg_w1": "e177009eb80a6f99",
+            "router.seg_b1": "bdcc7746c0b5cd76",
+            "router.seg_w2": "4259c6ebab7b7a36",
+            "router.seg_b2": "ef9ad20f71d98547",
+            "router.det_w1": "5ab6e198f5c815e6",
+            "router.det_b1": "0c6267850da1b79d",
+            "router.det_w2": "59203bf0cd4848b0",
+            "router.det_b2": "ef5bfe8074831d77",
+            "bbox.w1": "b73755c98c22deb2",
+            "bbox.b1": "48176727850f7111",
+            "bbox.w2": "393e7d3d3b957e6c",
+            "bbox.b2": "2e9cc1078432db30",
+            "bbox.w3": "87d8fcee9598c00d",
+            "bbox.b3": "822984caaa6d5138",
+            "maskdec.w_p": "063fb5f784813ad6",
+            "maskdec.gamma": "3dedd7035b84e0e8",
+            "maskdec.b": "d089465bfef7e8b7",
         },
     ),
 }
@@ -672,9 +698,9 @@ def test_evaluate_untrained_model_runs_and_scores_in_range():
 
 
 # decoded ids, report repr and a digest of the predicted masks and boxes of
-# evaluate_model on three records, recorded with the packed training pass and
-# the fused attention node (ids, masks, Dice and accuracy as before; box IoU
-# moved by ~3e-10)
+# evaluate_model on three records, recorded when the heads and their losses
+# first ran once per batch on (B, ...) tensors (ids, masks, Dice and accuracy
+# as before; boxes moved by <= 5.2e-13 and box IoU by ~2e-11)
 RECORDED_EVAL = (
     [
         [84, 104, 101, 32, 108, 117, 110, 103, 46, 32, 256, 32, 257, 0],
@@ -682,14 +708,13 @@ RECORDED_EVAL = (
         [84, 104, 101, 32, 104, 101, 97, 114, 116, 46, 32, 256, 32, 257, 0],
     ],
     "MetricReport(dice=59.65937513775036, giou=48.477602868023766, ciou=40.9814323607427, "
-    "box_iou=71.28942793429745, acc=66.66666666666667, count=3, per_category={"
-    "'heart': {'dice': 79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, "
-    "'box_iou': 99.85585926193498, 'acc': 100.0, 'count': 1}, "
-    "'liver': {'dice': 16.99867197875166, 'giou': 9.288824383164005, 'ciou': 9.288824383164005, "
-    "'box_iou': 14.16249675518379, 'acc': 0.0, 'count': 1}, "
-    "'lung': {'dice': 82.26415094339623, 'giou': 69.87179487179486, 'ciou': 69.87179487179486, "
-    "'box_iou': 99.84992778577354, 'acc': 100.0, 'count': 1}})",
-    "c2fc4e6273dc1ee8",
+    "box_iou=71.289427934278, acc=66.66666666666667, count=3, per_category={'heart': {'dice': "
+    "79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, 'box_iou': "
+    "99.85585926182554, 'acc': 100.0, 'count': 1}, 'liver': {'dice': 16.99867197875166, 'giou': "
+    "9.288824383164005, 'ciou': 9.288824383164005, 'box_iou': 14.162496755254212, 'acc': 0.0, "
+    "'count': 1}, 'lung': {'dice': 82.26415094339623, 'giou': 69.87179487179486, 'ciou': "
+    "69.87179487179486, 'box_iou': 99.8499277857542, 'acc': 100.0, 'count': 1}})",
+    "cead3ee17ab944a0",
 )
 
 
