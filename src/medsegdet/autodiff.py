@@ -503,28 +503,31 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
 
 def _split_heads(rows: Array, n_heads: int) -> Array:
     """(S, H·dh) rows -> (H, S, dh) heads, as a view."""
-    return rows.reshape(rows.shape[0], n_heads, -1).transpose(1, 0, 2)
+    return rows.reshape(rows.shape[0], n_heads, rows.shape[1] // n_heads).transpose(1, 0, 2)
 
 
 def _merge_heads(heads: Array) -> Array:
     """(H, S, dh) heads -> (S, H·dh) rows."""
-    return heads.transpose(1, 0, 2).reshape(heads.shape[1], -1)
+    return heads.transpose(1, 0, 2).reshape(heads.shape[1], heads.shape[0] * heads.shape[2])
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=None) -> Tensor:
     """Multi-head softmax attention over sequences packed row-wise, in one node.
 
     ``segments`` lists ``(P, T, cached)`` per sequence, in row order: the
-    sequence owns ``P + T`` rows of ``q`` and ``cached + P + T`` rows of
-    ``k`` and ``v``, its cached rows first.  A query row sees every cached
-    row and the ``P`` image-prefix rows of its own sequence, and its own
-    text rows causally; it never sees another sequence.  The mask of each
-    segment is built from index comparisons on the fly.
+    sequence owns ``cached + P + T`` rows of ``k`` and ``v``, its cached
+    rows first.  ``queries`` lists per segment the positions (among its
+    ``P + T`` new rows; default all, in order) of its rows of ``q``, which
+    holds them segment after segment.  A query at position ``pos`` sees
+    every cached row, its own sequence's ``P`` image-prefix rows and its
+    text rows up to ``pos``, never another sequence: each segment's mask
+    is built from index comparisons on the fly.
     """
+    queries = [np.arange(P + T) for P, T, _ in segments] if queries is None else queries
     Q, K, V = q.data, k.data, v.data
-    n_q = sum(P + T for P, T, _ in segments)
+    n_q = sum(len(pos) for pos in queries)
     n_k = sum(c + P + T for P, T, c in segments)
-    if Q.ndim != 2 or Q.shape[1] % n_heads or Q.shape[0] != n_q or not (
+    if Q.ndim != 2 or Q.shape[1] % n_heads or Q.shape[0] != n_q or len(queries) != len(segments) or not (
         K.shape == V.shape == (n_k, Q.shape[1])
     ):
         raise ShapeError(
@@ -535,11 +538,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor
     spans = []  # (query rows, key rows, softmax weights (H, S, M)) per segment
     out = np.empty_like(Q)
     qo = ko = 0
-    for P, T, cached in segments:
-        S, M = P + T, cached + P + T
+    for (P, T, cached), pos in zip(segments, queries):
+        S, M = len(pos), cached + P + T
         qs, ks = slice(qo, qo + S), slice(ko, ko + M)
-        j = np.arange(M)
-        allowed = j <= j[cached:, None]
+        allowed = np.arange(M) <= cached + np.asarray(pos)[:, None]
         allowed[:, : cached + P] = True
         scores = _split_heads(Q[qs], n_heads) @ _split_heads(K[ks], n_heads).transpose(0, 2, 1)
         scores = np.where(allowed, scores * scale, -np.inf)

@@ -48,6 +48,7 @@ from .mllm import (
     encode_image_patches,
     encode_text,
     expand_vocabulary,
+    forward,
     forward_packed,
     init_params,
 )
@@ -347,7 +348,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     fcfg = FusionConfig(n=3, mode="soft", router_hidden=4)
     router = init_router_params(fcfg, d=8, seed=seed + 1)
     cands = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    bundle = CandidateBundle(candidates=cands, h_img=Tensor(rng.normal(size=(2, 5, 8))))
+    bundle = CandidateBundle(candidates=cands)
     mix_a = rng.normal(size=(2, 8))
     mix_b = rng.normal(size=(2, 8))
 
@@ -402,8 +403,6 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     def lm_scalar():
         patches = encode_image_patches(lm_image, lm_cfg.patch_size, lm.patch_proj)
         seq = build_sequence(patches, prompt_ids, gen_ids, vocab)
-        from .mllm import forward
-
         _, logits = forward(seq, lm)
         T = len(seq.token_ids)
         targets = seq.token_ids[1:]
@@ -414,15 +413,15 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["mllm.2block"] = check(lm_scalar, lm_tensors, max_coords=24)
 
     # the same LM over two packed sequences of different lengths, the first
-    # with image patches, through the batch's answer cross-entropy
+    # with image patches, through the answer cross-entropy's rows only
     no_patches = Tensor(np.zeros((0, lm_cfg.d_model)))
     text_only = (no_patches, encode_text("b?", vocab), encode_text("no", vocab) + cand_ids[::-1])
 
     def packed_scalar():
         patches = encode_image_patches(lm_image, lm_cfg.patch_size, lm.patch_proj)
         seqs = [build_sequence(patches, prompt_ids, gen_ids, vocab), build_sequence(*text_only, vocab)]
-        hidden, offsets = forward_packed(seqs, lm)
-        return answer_ce_loss(hidden, offsets, seqs, lm.out_proj)
+        rows, loss_of = answer_ce_loss(seqs, lm.out_proj)
+        return loss_of(forward_packed(seqs, lm, rows=rows)[0], rows)
 
     results["mllm.packed"] = check(packed_scalar, lm_tensors, max_coords=24)
 

@@ -19,10 +19,10 @@ from .autodiff import ShapeError, Tensor
 
 @dataclass
 class CandidateBundle:
-    """A batch's last-layer hidden rows by role: candidates (B×n×d) and image prefix (B×P×d)."""
+    """A batch's last-layer rows by role: candidates (B×n×d) and image prefix (B×P×d, or None if unread)."""
 
     candidates: Tensor
-    h_img: Tensor
+    h_img: Tensor | None = None
 
     @property
     def n(self) -> int:

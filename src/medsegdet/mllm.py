@@ -6,14 +6,16 @@ the perception pipeline needs: last-layer hidden states, logits over an
 expandable vocabulary, greedy decoding (each row fed once, through a
 per-block key/value cache), and candidate-token extraction.  A batch of
 sequences runs as one row matrix (``forward_packed``, no padding): every
-layer sees each row once, and one attention node per block keeps each
-sequence to its own rows; a single sequence is the one-row-block case.
+layer sees each row once, one attention node per block keeps each
+sequence to its own rows, and the last block computes just the rows its
+caller reads (the losses: answer predictors, candidates, image rows).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -294,19 +296,22 @@ class KVCache:
 
 
 def forward_packed(
-    seqs: list[MultimodalSequence], params: ModelParams, cache: KVCache | None = None
+    seqs: list[MultimodalSequence], params: ModelParams, cache: KVCache | None = None, rows=None
 ) -> tuple[Tensor, list[int]]:
-    """Run the transformer over sequences packed row-wise; returns (hidden ΣSᵢ×d, offsets).
+    """Run the transformer over sequences packed row-wise; returns (hidden, offsets).
 
-    Sequence i owns hidden rows ``offsets[i]:offsets[i + 1]``, aligned 1:1
+    Sequence i owns packed rows ``offsets[i]:offsets[i + 1]``, aligned 1:1
     with its positions (image patches, then tokens).  Nothing is padded:
     each layer sees the ΣSᵢ rows once, and the attention node keeps every
     sequence to its own rows, so a sequence's rows do not depend on the
-    others.  With a ``cache`` (one sequence, under ``no_grad`` only),
-    ``seqs`` holds just the rows not fed yet, and only an empty cache takes
-    image patches.  The new rows take the next positions, see every cached
-    row and are causal among themselves; their keys and values join the
-    cache.
+    others.  ``hidden`` holds every packed row, or just ``rows`` (packed
+    indices, any order) in request order: the last block still takes keys
+    and values from every row, but runs its queries, ``wo``, the residual,
+    LN2 and the FFN on those rows only.  With a ``cache`` (one sequence,
+    under ``no_grad`` only), ``seqs`` holds just the rows not fed yet, and
+    only an empty cache takes image patches.  The new rows take the next
+    positions, see every cached row and are causal among themselves;
+    their keys and values join the cache.
     """
     cfg = params.cfg
     n = 0 if cache is None else cache.rows
@@ -319,7 +324,7 @@ def forward_packed(
             raise ShapeError(f"forward_packed: a KV cache holds one sequence, got {len(seqs)}")
     # one gather reads token rows from tok_emb and patch rows from the
     # patches stacked under it
-    segments, rows, positions, patches = [], [], [], []
+    segments, ids, positions, patches = [], [], [], []
     patch_row = params.vocab_size
     for seq in seqs:
         P, T = seq.num_patches, len(seq.token_ids)
@@ -332,25 +337,37 @@ def forward_packed(
         if n + P + T > cfg.max_seq:
             raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
         segments.append((P, T, n))
-        rows.extend(range(patch_row, patch_row + P))
-        rows.extend(seq.token_ids)
+        ids.extend(range(patch_row, patch_row + P))
+        ids.extend(seq.token_ids)
         positions.extend(range(n, n + P + T))
         if P:
             patches.append(seq.patch_embeddings)
             patch_row += P
     table = ad.concat([params.tok_emb, *patches]) if patches else params.tok_emb
-    x = ad.embedding_lookup(table, rows) + ad.embedding_lookup(params.pos_emb, positions)
+    x = ad.embedding_lookup(table, ids) + ad.embedding_lookup(params.pos_emb, positions)
+    offsets = np.cumsum([0] + [P + T for P, T, _ in segments])
+    queries = None
+    if rows is not None:
+        order = np.argsort(rows, kind="stable")  # attention takes each sequence's queries together
+        rows = np.asarray(rows, dtype=np.intp)[order]
+        cut = np.searchsorted(rows, offsets)
+        queries = [rows[a:b] - o for a, b, o in zip(cut, cut[1:], offsets)]
+    last = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
         h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps)
         k, v = h @ blk.wk, h @ blk.wv
         if cache is not None:
             k, v = cache.extend(i, k, v)
-        x = x + ad.attention(h @ blk.wq, k, v, segments, cfg.n_heads) @ blk.wo
+        if i == last and queries is not None:
+            x, h = x[rows], h[rows]
+        x = x + ad.attention(h @ blk.wq, k, v, segments, cfg.n_heads, queries if i == last else None) @ blk.wo
         h = ad.relu(ad.layer_norm(x, blk.ln2_g, blk.ln2_b, cfg.ln_eps) @ blk.w1 + blk.b1)
         x = x + h @ blk.w2 + blk.b2
     if cache is not None:
-        cache.rows = n + x.shape[0]
-    return x, np.cumsum([0] + [P + T for P, T, _ in segments]).tolist()
+        cache.rows = n + int(offsets[-1])
+    if queries is not None and (np.diff(order) < 0).any():
+        x = x[np.argsort(order)]
+    return x, offsets.tolist()
 
 
 def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None = None) -> tuple[Tensor, Tensor]:
@@ -396,35 +413,38 @@ def decode_greedy(
 
 
 def candidate_bundles(
-    hidden: Tensor, offsets: list[int], seqs: list[MultimodalSequence], vocab: VocabSpec
-) -> CandidateBundle:
-    """The batch's candidate rows (B, n, d), in candidate-id order, and image rows (B, P, d).
+    seqs: list[MultimodalSequence], vocab: VocabSpec, image: bool = False
+) -> tuple[np.ndarray, Callable[[Tensor, np.ndarray | None], CandidateBundle]]:
+    """The packed rows the heads read (sorted), and the bundle as a function of their hidden states.
 
-    Sequence i owns rows ``offsets[i]:offsets[i + 1]`` of ``hidden``, as
-    ``forward_packed`` returns them; every sequence must hold the same
-    number of image patches.  Each candidate id must occur exactly once
-    in a sequence's generated region.  One gather takes each block.
+    The rows are each sequence's candidate rows (each id exactly once in
+    the generated region) and with ``image`` its image rows, which needs
+    one patch count.  The function takes a ``forward_packed`` result
+    holding the packed rows ``held`` (sorted; ``None`` for all) and gathers
+    (B, n, d) candidates, in candidate-id order, and (B, P, d) image rows.
     """
     P = seqs[0].num_patches
     cand_rows, img_rows = [], []
-    for seq, off in zip(seqs, offsets):
-        if seq.num_patches != P:
+    off = 0
+    for seq in seqs:
+        if image and seq.num_patches != P:
             raise ShapeError(f"candidate_bundles: sequences hold {P} and {seq.num_patches} image patches")
         gen = seq.token_ids[seq.gen_start :]
         for cid in vocab.candidate_ids:
             hits = [i for i, t in enumerate(gen) if t == cid]
             if not hits:
-                raise CandidateAbsentError(
-                    f"candidate token {cid} absent from the generated region"
-                )
+                raise CandidateAbsentError(f"candidate token {cid} absent from the generated region")
             if len(hits) > 1:
-                raise DuplicateCandidateError(
-                    f"candidate token {cid} occurs {len(hits)} times in the generated region"
-                )
-            cand_rows.append(off + P + seq.gen_start + hits[0])
-        img_rows.extend(range(off, off + P))
-    B, d = len(seqs), hidden.shape[1]
-    return CandidateBundle(
-        candidates=hidden[cand_rows].reshape(B, vocab.num_candidates, d),
-        h_img=hidden[img_rows].reshape(B, P, d),
-    )
+                raise DuplicateCandidateError(f"candidate token {cid} occurs {len(hits)} times in the generated region")
+            cand_rows.append(off + seq.num_patches + seq.gen_start + hits[0])
+        if image:
+            img_rows.extend(range(off, off + P))
+        off += seq.num_patches + len(seq.token_ids)
+
+    def bundle(hidden: Tensor, held: np.ndarray | None = None) -> CandidateBundle:
+        def take(rows, n):
+            return hidden[rows if held is None else np.searchsorted(held, rows)].reshape(len(seqs), n, hidden.shape[1])
+
+        return CandidateBundle(take(cand_rows, vocab.num_candidates), take(img_rows, P) if image else None)
+
+    return np.unique(cand_rows + img_rows), bundle

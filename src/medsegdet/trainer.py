@@ -17,6 +17,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -309,16 +310,19 @@ def _teacher_forced(model: Model, sample: TrainSample, query: str) -> Multimodal
     return build_sequence(patches, encode_text(query, model.vocab), a_ids, model.vocab)
 
 
-def answer_ce_loss(hidden: Tensor, offsets: list[int], seqs, out_proj: Tensor) -> Tensor:
-    """Mean over the packed sequences of each one's mean answer-token cross-entropy.
+def answer_ce_loss(seqs, out_proj: Tensor) -> tuple[list[int], Callable[[Tensor, np.ndarray], Tensor]]:
+    """The packed rows the answer loss reads, and the loss as a function of their hidden states.
 
-    Text row t of a sequence predicts token t + 1.  One logits matmul
-    covers the rows that predict a token of the answer (from ``gen_start``
-    on, but never token 0), and each of them weighs 1 / (answer tokens of
-    its sequence) in ``text_ce_loss``'s weighted mean.
+    Text row t of a sequence predicts token t + 1; the rows are those that
+    predict an answer token (from ``gen_start`` on, never token 0).  Given a
+    ``forward_packed`` result holding the packed rows ``held`` (sorted), the
+    function returns the mean over sequences of each one's mean answer-token
+    cross-entropy: one gather, one logits matmul, each row weighing
+    1 / (answer tokens of its sequence) in ``text_ce_loss``.
     """
     rows, targets, weights = [], [], []
-    for seq, off in zip(seqs, offsets):
+    off = 0
+    for seq in seqs:
         first, T = max(seq.gen_start, 1), len(seq.token_ids)
         count = T - first
         if count < 1:
@@ -327,7 +331,8 @@ def answer_ce_loss(hidden: Tensor, offsets: list[int], seqs, out_proj: Tensor) -
         rows.extend(range(base + first, base + T))
         targets.extend(seq.token_ids[first:])
         weights.extend([1.0 / count] * count)
-    return text_ce_loss(hidden[rows] @ out_proj.T, targets, weights)
+        off += seq.num_patches + T
+    return rows, lambda hidden, held: text_ce_loss(hidden[np.searchsorted(held, rows)] @ out_proj.T, targets, weights)
 
 
 def one_image_shape(records: list[ImageRecord]) -> tuple[int, int]:
@@ -361,27 +366,30 @@ def reference_maps(model: Model, batch: list[TrainSample]) -> Tensor:
     """The fine-tune targets: (B, P) similarity maps of the bare-label queries, without grad."""
     with ad.no_grad():
         seqs = [_teacher_forced(model, s, s.x_hat_txt) for s in batch]
-        hidden, offsets = forward_packed(seqs, model.lm)
-        bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+        rows, bundle_of = candidate_bundles(seqs, model.vocab, image=True)
+        bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
         return similarity_map(bundle.h_img, fuse_candidates(bundle, model.router, model.cfg.fusion).h_seg)
 
 
 def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None = None) -> LossReport:
     """Every loss of a batch, as batch means: one packed LM pass, then ``_heads`` once.
 
-    With ``sim_ref`` (the ``reference_maps`` of the batch) the fine-tune
-    similarity terms join the total.
+    The LM's last block computes only the rows a loss reads: answer
+    predictors, candidates and, with ``sim_ref`` (the batch's
+    ``reference_maps``), image rows for the fine-tune similarity terms.
     """
     w = model.cfg.weights
     seqs = [_teacher_forced(model, s, s.question) for s in batch]
-    hidden, offsets = forward_packed(seqs, model.lm)
-    txt = answer_ce_loss(hidden, offsets, seqs, model.lm.out_proj)
-    bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+    txt_rows, txt_of = answer_ce_loss(seqs, model.lm.out_proj)
+    cand_rows, bundle_of = candidate_bundles(seqs, model.vocab, image=sim_ref is not None)
+    held = np.union1d(txt_rows, cand_rows)  # candidate rows also predict answer tokens
+    hidden, _ = forward_packed(seqs, model.lm, rows=held)
+    bundle = bundle_of(hidden, held)
     images = np.stack([s.record.image for s in batch])
     fused, box, mlogits = _heads(model, bundle, images)
     bce, dice, mask_total = mask_loss(mlogits, np.stack([s.record.mask for s in batch]), w)
     l1, giou, bbox_total = bbox_loss(box, [s.record.box.as_floats() for s in batch], w)
-    report = compose_end(txt, mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=giou)
+    report = compose_end(txt_of(hidden, held), mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=giou)
     if sim_ref is None:
         return report
     js, mse, sim_total = sim_loss(similarity_map(bundle.h_img, fused.h_seg), sim_ref, w)
@@ -457,10 +465,11 @@ def _predict(model: Model, record: ImageRecord):
         seq = build_sequence(patches, q_ids, generated, model.vocab)
         hidden, _ = forward(seq, model.lm)
         try:
-            bundle = candidate_bundles(hidden, [0, hidden.shape[0]], [seq], model.vocab)
-        except (CandidateAbsentError, DuplicateCandidateError):
+            _, bundle_of = candidate_bundles([seq], model.vocab)
+        except (CandidateAbsentError, DuplicateCandidateError) as exc:
+            log.warning("record %s scores zero: asked %r, %s", record.id, question, exc)
             return np.zeros_like(record.mask, dtype=bool), None
-        _, box, mlogits = _heads(model, bundle, record.image[None])
+        _, box, mlogits = _heads(model, bundle_of(hidden), record.image[None])
     return mlogits.binary()[0], BBox(*box.data[0])
 
 

@@ -351,8 +351,8 @@ def _batch_mask_loss(model, batch, use_box):
         q_ids = encode_text(sample.question, model.vocab)
         a_ids = encode_text(sample.answer, model.vocab) + [EOS_ID]
         seqs.append(build_sequence(patches, q_ids, a_ids, model.vocab))
-    hidden, offsets = forward_packed(seqs, model.lm)
-    bundle = candidate_bundles(hidden, offsets, seqs, model.vocab)
+    rows, bundle_of = candidate_bundles(seqs, model.vocab)
+    bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
     _, _, mlogits = _heads(model, bundle, np.stack([s.record.image for s in batch]))
     return mask_loss(mlogits, np.stack([s.record.mask for s in batch]), cfg.weights)[2]
 

@@ -163,39 +163,64 @@ def test_every_kernel_matches_finite_differences_on_100_inputs():
             assert err < 1e-4, f"{kind} failed at trial {trial}: {err}"
 
 
-def reference_attention(q, k, v, segments, n_heads):
-    """Attention as a loop over segments and heads with an additive 0 / -1e9 mask."""
+def reference_attention(q, k, v, segments, n_heads, queries=None):
+    """Attention as a loop over segments and heads with an additive 0 / -1e9 mask.
+
+    ``queries`` lists each segment's query positions (default: all, in order);
+    each one takes its row of the segment's full mask.
+    """
+    queries = queries or [range(P + T) for P, T, _ in segments]
     d = q.shape[1]
     dh = d // n_heads
     out, qo, ko = [], 0, 0
-    for P, T, cached in segments:
-        S = P + T
+    for (P, T, cached), pos in zip(segments, queries):
+        S, n = P + T, len(pos)
         allowed = np.zeros((S, S), dtype=bool)
         allowed[:, :P] = True
         allowed |= np.arange(S)[None, :] <= np.arange(S)[:, None]
-        mask = np.pad(np.where(allowed, 0.0, -1e9), ((0, 0), (cached, 0)))
+        mask = np.pad(np.where(allowed, 0.0, -1e9), ((0, 0), (cached, 0)))[list(pos)]
         heads = []
         for h in range(n_heads):
             cols = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q[qo : qo + S, cols], k[ko : ko + cached + S, cols], v[ko : ko + cached + S, cols]
+            qh, kh, vh = q[qo : qo + n, cols], k[ko : ko + cached + S, cols], v[ko : ko + cached + S, cols]
             scores = qh @ kh.T * dh**-0.5 + mask
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             heads.append(e / e.sum(axis=1, keepdims=True) @ vh)
         out.append(np.concatenate(heads, axis=1))
-        qo, ko = qo + S, ko + cached + S
+        qo, ko = qo + n, ko + cached + S
     return np.concatenate(out)
+
+
+# query positions per segment of (3, 4, 0), (0, 5, 0), (2, 1, 0), (0, 3, 6):
+# every row; a subset with rows after 6 cached ones; image-prefix rows only;
+# repeats and any order; a single row
+QUERY_SUBSETS = [
+    None,
+    [[0, 2, 6], [4], [], [0, 2]],
+    [[0, 1, 2], [], [0, 1], []],
+    [[6, 0, 6], [3, 1], [2], [2, 0, 1]],
+    [[], [], [], [1]],
+]
 
 
 def test_attention_matches_a_loop_over_segments_and_heads():
     rng = np.random.default_rng(7)
     segments = [(3, 4, 0), (0, 5, 0), (2, 1, 0), (0, 3, 6)]
-    n_q = sum(P + T for P, T, _ in segments)
-    n_k = n_q + 6
-    q, k, v = (rng.normal(size=(n, 8)) for n in (n_q, n_k, n_k))
-    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2)
-    np.testing.assert_allclose(out.data, reference_attention(q, k, v, segments, 2), rtol=0, atol=1e-12)
-    with pytest.raises(ShapeError, match="attention"):
-        ad.attention(Tensor(q), Tensor(k[1:]), Tensor(v), segments, 2)
+    n_k = sum(P + T + c for P, T, c in segments)
+    for queries in QUERY_SUBSETS:
+        n_q = n_k - 6 if queries is None else sum(map(len, queries))
+        q, k, v = (rng.normal(size=(n, 8)) for n in (n_q, n_k, n_k))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2, queries)
+        want = reference_attention(q, k, v, segments, 2, queries)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12, err_msg=str(queries))
+        for bad_q, bad_k in ((q, k[1:]), (q[1:], k)):
+            with pytest.raises(ShapeError, match="attention"):
+                ad.attention(Tensor(bad_q), Tensor(bad_k), Tensor(v), segments, 2, queries)
+        if queries is not None:  # the full case is among the kernels checked above
+            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+            w = rng.normal(size=out.shape)
+            err = finite_difference_check(lambda: (ad.attention(qt, kt, vt, segments, 2, queries) * w).sum(), [qt, kt, vt])
+            assert err < 1e-4, queries
 
 
 BROADCAST_OPS = {

@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from medsegdet.datagen import (
     CATEGORIES,
@@ -171,6 +173,23 @@ def test_split_large_set_within_one():
     assert abs(len(val) - 12652 * 0.1) <= 1
     assert abs(len(test) - 12652 * 0.1) <= 1
     assert len(train) + len(val) + len(test) == 12652
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 5000),
+    weights=st.one_of(st.just((0.8, 0.1, 0.1)), st.tuples(*[st.floats(0.0, 1.0)] * 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_split_sizes_within_one_of_exact_for_any_count(n, weights, seed):
+    total = sum(weights)
+    assume(total > 0)
+    ratios = tuple(w / total for w in weights)
+    assume(abs(sum(ratios) - 1.0) <= 1e-9)
+    parts = split_dataset(list(range(n)), ratios, seed)
+    assert sorted(i for part in parts for i in part) == list(range(n))
+    for part, r in zip(parts, ratios):
+        assert abs(len(part) - r * n) <= 1
 
 
 def test_split_deterministic_and_validated():

@@ -201,6 +201,32 @@ def test_packed_rows_equal_per_sample_forward_and_ignore_other_sequences(shapes,
     assert hidden2.data[offsets[k] : offsets[k + 1]].tobytes() != hidden.data[offsets[k] : offsets[k + 1]].tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 6)).filter(lambda pt: sum(pt) > 0),
+        min_size=1, max_size=4,
+    ),
+    data=st.data(),
+)
+def test_forward_packed_rows_equal_the_full_pass_rows(shapes, data):
+    params = random_model(SMALL, 45)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    seqs = [
+        MultimodalSequence(rand_patches(P, 8, seed=seed + i), rng.integers(0, 18, T).tolist())
+        for i, (P, T) in enumerate(shapes)
+    ]
+    full, offsets = forward_packed(seqs, params)
+    n = offsets[-1]
+    single = [data.draw(st.integers(0, n - 1), label="single row")]
+    some = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="rows")
+    for rows in (single, some, sorted(set(some))):
+        part, part_offsets = forward_packed(seqs, params, rows=rows)
+        assert part_offsets == offsets and part.shape == (len(rows), 8)
+        np.testing.assert_allclose(part.data, full.data[rows], rtol=0, atol=1e-12)
+
+
 def test_forward_packed_rejects_no_sequences_and_a_cache_of_several():
     params = random_model(SMALL, 44)
     with pytest.raises(ShapeError, match="no sequences"):
@@ -341,8 +367,9 @@ def expanded_small(seed=14):
 
 
 def extract(hidden, seq, vocab):
-    """The one-sequence batch of ``candidate_bundles``."""
-    return candidate_bundles(hidden, [0, hidden.shape[0]], [seq], vocab)
+    """The one-sequence batch of ``candidate_bundles``, image rows included, from every row."""
+    _, bundle_of = candidate_bundles([seq], vocab, image=True)
+    return bundle_of(hidden)
 
 
 def test_extract_candidate_rows_match_hidden():
@@ -404,14 +431,23 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
         build_sequence(rand_patches(2, 8, seed=25), [4], [5, 17, 6, 16, EOS_ID], vocab),
     ]
     hidden, offsets = forward_packed(seqs, params)
-    bundle = candidate_bundles(hidden, offsets, seqs, vocab)
+    rows, bundle_of = candidate_bundles(seqs, vocab, image=True)
+    assert rows.tolist() == [0, 1, 2 + 2, 2 + 4, offsets[1], offsets[1] + 1, offsets[1] + 2 + 2, offsets[1] + 2 + 4]
+    bundle = bundle_of(hidden)
     assert bundle.candidates.shape == (2, 2, 8) and bundle.h_img.shape == (2, 2, 8)
     for i, seq in enumerate(seqs):
         own = hidden.data[offsets[i] : offsets[i + 1]]
         np.testing.assert_array_equal(bundle.candidates.data[i], extract(Tensor(own), seq, vocab).candidates.data[0])
         np.testing.assert_array_equal(bundle.h_img.data[i], own[:2])
+    # from a pass that holds just the rows read: the same rows, and no image rows unless asked
+    part = bundle_of(forward_packed(seqs, params, rows=rows)[0], rows)
+    np.testing.assert_allclose(part.candidates.data, bundle.candidates.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(part.h_img.data, bundle.h_img.data, rtol=0, atol=1e-12)
+    cand_rows, cands_of = candidate_bundles(seqs, vocab)
+    assert cand_rows.tolist() == rows[[2, 3, 6, 7]].tolist() and cands_of(hidden).h_img is None
+    mixed = [seqs[0], build_sequence(no_patches(8), [4], [16, 17], vocab)]
     with pytest.raises(ShapeError, match="2 and 0 image patches"):
-        candidate_bundles(hidden, offsets, [seqs[0], build_sequence(no_patches(8), [4], [16, 17], vocab)], vocab)
+        candidate_bundles(mixed, vocab, image=True)
 
 
 # -- vocabulary expansion -----------------------------------------------------

@@ -2,9 +2,14 @@
 steps on a tiny model, checkpoint round-trips, and evaluation plumbing."""
 
 import hashlib
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medsegdet.autodiff as ad
 from medsegdet import trainer
@@ -413,6 +418,26 @@ def test_step_records_as_many_nodes_at_batch_2_as_at_batch_10(preset):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("preset", ["overfit", "finetune"])
+def test_every_op_node_of_a_step_reaches_the_loss(preset):
+    # walking parent ids back from the total visits every recorded operation:
+    # the step computes nothing that no loss reads
+    records = short_qa_records(16, seed=0)
+    cfg = TrainConfig.from_dict({**PRESETS[preset], "mix_ratio": [1, 1], "batch_size": 4})
+    model = init_model(cfg)
+    sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+    report = train_step(model, [next(sampler) for _ in range(4)], 0, cfg, init_opt_state(model.trainable()))
+    nodes = ad.active_tape().nodes
+    reached, stack = set(), [report.total.node_id]
+    while stack:
+        i = stack.pop()
+        if i != ad.CONSTANT and i not in reached:
+            reached.add(i)
+            stack.extend(nodes[i].parent_ids)
+    dead = [i for i, node in enumerate(nodes) if node.grad_fn is not None and i not in reached]
+    assert not dead, f"{len(dead)} of {len(nodes)} nodes never reach the loss, e.g. shapes {[nodes[i].tensor.shape for i in dead[:4]]}"
+
+
 def test_train_step_rejects_a_batch_of_two_image_shapes():
     cfg, model, _ = build_tiny()
     big, small = synth_records(1, seed=1)[0], synth_records(1, seed=2, hw=(32, 32))[0]
@@ -606,6 +631,31 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shapes=st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_checkpoint_round_trip_of_random_shapes_is_bitwise(shapes, seed):
+    # any rank, 0-d and empty tensors included, and values across the float64 range
+    rng = np.random.default_rng(seed)
+    arrays = {
+        f"t{i}": rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        for i, shape in enumerate(map(tuple, shapes))
+    }
+    model = SimpleNamespace(cfg=TrainConfig(seed=seed), named=lambda: {n: Tensor(a) for n, a in arrays.items()})
+    opt = OptState(step=seed, m={"t0": -arrays["t0"]}, v={"t0": np.abs(arrays["t0"])})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.ckpt"
+        save_checkpoint(path, model, opt, iteration=seed + 1)
+        ckpt = load_checkpoint(path)
+    assert (ckpt.iteration, ckpt.opt_step, ckpt.config) == (seed + 1, seed, model.cfg)
+    saved = {**arrays, "opt.m.t0": opt.m["t0"], "opt.v.t0": opt.v["t0"]}
+    for name, a in saved.items():
+        b = ckpt.tensors[name]
+        assert b.dtype == np.float64 and b.shape == a.shape and b.tobytes() == a.tobytes(), name
+
+
 def test_checkpoint_resume_training_is_bitwise_identical(tmp_path):
     cfg, model, opt, records = train_briefly()
     path = tmp_path / "resume.ckpt"
@@ -698,9 +748,9 @@ def test_evaluate_untrained_model_runs_and_scores_in_range():
 
 
 # decoded ids, report repr and a digest of the predicted masks and boxes of
-# evaluate_model on three records, recorded when the heads and their losses
-# first ran once per batch on (B, ...) tensors (ids, masks, Dice and accuracy
-# as before; boxes moved by <= 5.2e-13 and box IoU by ~2e-11)
+# evaluate_model on three records, recorded when the LM's last block first
+# computed only the rows a loss reads (ids, masks, Dice and accuracy as
+# before; boxes moved by <= 2.9e-12 after the 200 training steps)
 RECORDED_EVAL = (
     [
         [84, 104, 101, 32, 108, 117, 110, 103, 46, 32, 256, 32, 257, 0],
@@ -708,13 +758,14 @@ RECORDED_EVAL = (
         [84, 104, 101, 32, 104, 101, 97, 114, 116, 46, 32, 256, 32, 257, 0],
     ],
     "MetricReport(dice=59.65937513775036, giou=48.477602868023766, ciou=40.9814323607427, "
-    "box_iou=71.289427934278, acc=66.66666666666667, count=3, per_category={'heart': {'dice': "
-    "79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, 'box_iou': "
-    "99.85585926182554, 'acc': 100.0, 'count': 1}, 'liver': {'dice': 16.99867197875166, 'giou': "
-    "9.288824383164005, 'ciou': 9.288824383164005, 'box_iou': 14.162496755254212, 'acc': 0.0, "
-    "'count': 1}, 'lung': {'dice': 82.26415094339623, 'giou': 69.87179487179486, 'ciou': "
-    "69.87179487179486, 'box_iou': 99.8499277857542, 'acc': 100.0, 'count': 1}})",
-    "cead3ee17ab944a0",
+    "box_iou=71.28942793438787, acc=66.66666666666667, count=3, per_category={'heart': "
+    "{'dice': 79.7153024911032, 'giou': 66.27218934911244, 'ciou': 66.27218934911244, "
+    "'box_iou': 99.85585926244117, 'acc': 100.0, 'count': 1}, 'liver': {'dice': "
+    "16.99867197875166, 'giou': 9.288824383164005, 'ciou': 9.288824383164005, 'box_iou': "
+    "14.162496754861134, 'acc': 0.0, 'count': 1}, 'lung': {'dice': 82.26415094339623, 'giou': "
+    "69.87179487179486, 'ciou': 69.87179487179486, 'box_iou': 99.8499277858613, 'acc': 100.0, "
+    "'count': 1}})",
+    "17a514214eb52a59",
 )
 
 
@@ -738,6 +789,29 @@ def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
         digest.update(s.pred_mask.tobytes())
         digest.update(repr(None if s.pred_box is None else s.pred_box.as_floats()).encode())
     assert (generated, repr(report), digest.hexdigest()[:16]) == RECORDED_EVAL
+
+
+def test_evaluate_logs_why_a_record_scores_zero(monkeypatch, caplog):
+    cfg, model, records = build_tiny()
+    record = records[0]
+    question = record.qa[0].question
+    c1, c2 = model.vocab.candidate_ids
+    decodes = iter([[84, c1, 0], [84, c1, c2, c1, 0], [84, c1, c2, 0]])
+    monkeypatch.setattr(trainer, "decode_greedy", lambda *args: next(decodes))
+    with caplog.at_level("WARNING", logger="medsegdet.trainer"):
+        report, samples = evaluate_model(model, [record, record])
+    absent, duplicate = (r.getMessage() for r in caplog.records)
+    for message in (absent, duplicate):
+        assert record.id in message and repr(question) in message
+    assert f"candidate token {c2} absent" in absent
+    assert f"candidate token {c1} occurs 2 times" in duplicate
+    # the report is as before: both records score zero
+    assert all(s.pred_box is None and not s.pred_mask.any() for s in samples)
+    assert report.dice == report.box_iou == report.acc == 0.0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="medsegdet.trainer"):
+        _, (clean,) = evaluate_model(model, [record])
+    assert clean.pred_box is not None and not caplog.records
 
 
 def test_evaluate_rejects_empty():
