@@ -6,12 +6,13 @@ through the LM in one packed pass and then fusion, both decoders and
 their losses once on (B, …) tensors (``_heads``, which evaluation shares),
 applies AdamW with warmup-decay, and round-trips everything through a
 binary checkpoint format. The fine-tune mode adds a gradient-detached
-reference forward pass driven by the bare-label query and supervises the
-similarity maps against it.
+reference forward pass driven by the bare-label query, through the model
+as the fine-tune began, and supervises the similarity maps against it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
@@ -258,9 +259,12 @@ def lr_schedule(it: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptState:
+    """AdamW moments and step count; in fine-tune, also the frozen model the reference maps come from."""
+
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    reference: Model | None = None
 
 
 def init_opt_state(params: dict[str, Tensor]) -> OptState:
@@ -404,7 +408,10 @@ def train_step(
     The batch's sequences go through the LM once, packed row-wise (in
     fine-tune mode, the reference queries once more under ``no_grad``),
     and fusion, the decoders and their losses once on (B, …) tensors, so
-    the batch needs one image shape (ShapeError otherwise).  Raises
+    the batch needs one image shape (ShapeError otherwise).  The fine-tune
+    reference maps come from ``opt.reference``, a copy of the model taken
+    at its first fine-tune step and never trained, so the targets hold
+    still while the model learns to meet them.  Raises
     NonFiniteTrainingError, naming the iteration and the parameters AdamW
     skipped, at a non-finite loss or gradient.
     """
@@ -415,7 +422,9 @@ def train_step(
         raise ValueError("finetune sample lacks the non-inference query")
     one_image_shape([s.record for s in batch])
     ad.reset_tape()
-    report = batch_losses(model, batch, reference_maps(model, batch) if finetune else None)
+    if finetune and opt.reference is None:
+        opt.reference = copy.deepcopy(model)
+    report = batch_losses(model, batch, reference_maps(opt.reference, batch) if finetune else None)
     ad.backward(report.total)
     skipped = adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)
     if skipped or not np.isfinite(report.total.data):
@@ -528,8 +537,10 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model: Model, opt: OptState, iteration: int) -> None:
-    """Binary dump of all named tensors, moments, counters, and the config."""
+    """Binary dump of all named tensors, moments, the fine-tune reference, counters, and the config."""
     entries: dict[str, np.ndarray] = {n: t.data for n, t in model.named().items()}
+    if opt.reference is not None:
+        entries.update({f"ref.{n}": t.data for n, t in opt.reference.named().items()})
     for n, arr in opt.m.items():
         entries[f"opt.m.{n}"] = arr
     for n, arr in opt.v.items():
@@ -592,20 +603,27 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def restore_model(ckpt: Checkpoint) -> tuple[Model, OptState]:
-    """Rebuild a model and optimizer state that reproduce saved behavior exactly."""
+def _saved_model(ckpt: Checkpoint, prefix: str = "") -> Model:
     model = init_model(ckpt.config)
     for name, tensor in model.named().items():
-        if name not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint lacks tensor {name}")
-        saved = ckpt.tensors[name]
+        if prefix + name not in ckpt.tensors:
+            raise CheckpointError(f"checkpoint lacks tensor {prefix}{name}")
+        saved = ckpt.tensors[prefix + name]
         if saved.shape != tensor.data.shape:
             raise CheckpointError(
-                f"tensor {name}: checkpoint shape {saved.shape} != model {tensor.data.shape}"
+                f"tensor {prefix}{name}: checkpoint shape {saved.shape} != model {tensor.data.shape}"
             )
         tensor.data[...] = saved
+    return model
+
+
+def restore_model(ckpt: Checkpoint) -> tuple[Model, OptState]:
+    """Rebuild a model and optimizer state that reproduce saved behavior exactly."""
+    model = _saved_model(ckpt)
     m, v = ckpt.moments
     opt = init_opt_state(model.trainable())
+    if any(k.startswith("ref.") for k in ckpt.tensors):
+        opt.reference = _saved_model(ckpt, "ref.")
     opt.step = ckpt.opt_step
     for name in opt.m:
         for kind, saved_moments, moment in (("m", m, opt.m[name]), ("v", v, opt.v[name])):

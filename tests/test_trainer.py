@@ -317,6 +317,18 @@ def test_train_step_finetune_requires_reference_query():
         train_step(model, [sample], 0, cfg, init_opt_state(model.trainable()))
 
 
+def test_train_step_finetune_targets_the_model_it_started_from():
+    # the reference maps come from a copy of the model taken at the first
+    # fine-tune step, which training never moves
+    cfg, model, records = build_tiny(mode="finetune")
+    start = {n: t.data.copy() for n, t in model.named().items()}
+    sampler = mixed_sampler(records, records, seed=0)
+    opt = init_opt_state(model.trainable())
+    for it in range(3):
+        train_step(model, [next(sampler) for _ in range(cfg.batch_size)], it, cfg, opt)
+    assert all(np.array_equal(t.data, start[n]) for n, t in opt.reference.named().items())
+    assert not all(np.array_equal(t.data, start[n]) for n, t in model.named().items())
+
 def test_train_step_keeps_frozen_tensors_bitwise():
     cfg, model, records = build_tiny()
     frozen_before = {n: t.data.copy() for n, t in model.frozen().items()}
@@ -453,7 +465,9 @@ def test_train_step_rejects_a_batch_of_two_image_shapes():
 # gradients of every step, first 16 hex digits), recorded when fusion, the
 # decoders and their losses first ran once per batch on (B, ...) tensors
 # (step-0 loss within 2.3e-16 relative and gradients within 9.1e-15 of the
-# per-sample heads before it)
+# per-sample heads before it); the fine-tune entry was re-recorded when its
+# reference maps moved to the frozen copy taken at the first step (step 0's
+# loss is unchanged, as that copy equals the model there)
 RECORDED_STEPS = {
     "end2end": (
         ("0x1.ecf4ba88fa221p+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b8p+2"),
@@ -505,39 +519,39 @@ RECORDED_STEPS = {
         },
     ),
     "finetune": (
-        ("0x1.84c1af5aa3d10p+7", "0x1.052ed1f53d2e4p+8"),
+        ("0x1.84c1af5aa3d10p+7", "0x1.04234a028564ep+8"),
         {
-            "mllm.tok_emb": "7eb0084c9bae9a15",
-            "mllm.pos_emb": "8584ef09d61565f1",
+            "mllm.tok_emb": "a17eb9d468c61152",
+            "mllm.pos_emb": "251c18bd779e1cc7",
             "mllm.out_proj": "b0481d18a701c3a0",
-            "mllm.blocks.0.ln1_g": "3bc1a23cc9ae9c3d",
-            "mllm.blocks.0.ln1_b": "777589b367482ce4",
-            "mllm.blocks.0.wq": "5c3d0f76e0d39795",
-            "mllm.blocks.0.wk": "25ae7df7e4208190",
-            "mllm.blocks.0.wv": "cf483bdba4c76418",
-            "mllm.blocks.0.wo": "396d3e3884293ff2",
-            "mllm.blocks.0.ln2_g": "1923fd1d85cbb2ee",
-            "mllm.blocks.0.ln2_b": "7b8cb5d5852f79ac",
-            "mllm.blocks.0.w1": "f5f37283dcf0660a",
-            "mllm.blocks.0.b1": "33e83117d43e0ea2",
-            "mllm.blocks.0.w2": "b5931b1fbb9af48c",
-            "mllm.blocks.0.b2": "c1aeecd358dbcd9e",
-            "mllm.blocks.1.ln1_g": "e9bba97be8679a98",
-            "mllm.blocks.1.ln1_b": "3b067bb63af0c685",
-            "mllm.blocks.1.wq": "507da6462c166f94",
-            "mllm.blocks.1.wk": "4b310605d604f331",
-            "mllm.blocks.1.wv": "9e089e732e1c5e12",
-            "mllm.blocks.1.wo": "1df733dd5ca4df55",
-            "mllm.blocks.1.ln2_g": "f59c49814cb62d28",
-            "mllm.blocks.1.ln2_b": "f727bb2a92294278",
-            "mllm.blocks.1.w1": "e4588423237e3879",
-            "mllm.blocks.1.b1": "79656651e1391b38",
-            "mllm.blocks.1.w2": "70bf8180114e59b8",
-            "mllm.blocks.1.b2": "6beaaf64bb17d88e",
-            "router.seg_w1": "e177009eb80a6f99",
-            "router.seg_b1": "bdcc7746c0b5cd76",
-            "router.seg_w2": "4259c6ebab7b7a36",
-            "router.seg_b2": "ef9ad20f71d98547",
+            "mllm.blocks.0.ln1_g": "b08ca0ccbb082c00",
+            "mllm.blocks.0.ln1_b": "300881cc7236956b",
+            "mllm.blocks.0.wq": "84caed87f3244d34",
+            "mllm.blocks.0.wk": "a108125885371f2c",
+            "mllm.blocks.0.wv": "c8f51d6390aff881",
+            "mllm.blocks.0.wo": "a089a249c6bbe6e5",
+            "mllm.blocks.0.ln2_g": "b29a677a3754d5e5",
+            "mllm.blocks.0.ln2_b": "e6f8ab8f2c3e982d",
+            "mllm.blocks.0.w1": "435aa9b6f2f84dab",
+            "mllm.blocks.0.b1": "247ce21841144650",
+            "mllm.blocks.0.w2": "4a8bdc58aaeb54d0",
+            "mllm.blocks.0.b2": "54433d6c0b4eb6b7",
+            "mllm.blocks.1.ln1_g": "17bb0122b50842b9",
+            "mllm.blocks.1.ln1_b": "500b38bd30e12ff3",
+            "mllm.blocks.1.wq": "2b1f8149419fbef1",
+            "mllm.blocks.1.wk": "a80d6528e0dbbddf",
+            "mllm.blocks.1.wv": "d7639274f467d3cd",
+            "mllm.blocks.1.wo": "8f641d84e7cf04c8",
+            "mllm.blocks.1.ln2_g": "e7d001c680d6a2e8",
+            "mllm.blocks.1.ln2_b": "286907015e9103d8",
+            "mllm.blocks.1.w1": "41e863caa427cb5d",
+            "mllm.blocks.1.b1": "9ba09e77551f91b3",
+            "mllm.blocks.1.w2": "16d4719bae55d84e",
+            "mllm.blocks.1.b2": "fdf56f0fa5183c78",
+            "router.seg_w1": "5a386eec84e3b9f1",
+            "router.seg_b1": "866a88d98be4f13c",
+            "router.seg_w2": "77a31952fbaf9d67",
+            "router.seg_b2": "1225165e81932931",
             "router.det_w1": "5ab6e198f5c815e6",
             "router.det_b1": "0c6267850da1b79d",
             "router.det_w2": "59203bf0cd4848b0",
@@ -669,6 +683,20 @@ def test_checkpoint_resume_training_is_bitwise_identical(tmp_path):
     for name, t in model.named().items():
         np.testing.assert_array_equal(t.data, restored.named()[name].data)
 
+
+def test_checkpoint_resume_finetune_keeps_its_reference(tmp_path):
+    # a fine-tune resumes against the reference it began with, not the model it resumes
+    cfg, model, opt, records = train_briefly(mode="finetune")
+    path = tmp_path / "ft.ckpt"
+    save_checkpoint(path, model, opt, iteration=4)
+    restored, opt2 = restore_model(load_checkpoint(path))
+    sampler_a = mixed_sampler(records, records, seed=99)
+    sampler_b = mixed_sampler(records, records, seed=99)
+    for it in range(3):
+        train_step(model, [next(sampler_a)], it, cfg, opt)
+        train_step(restored, [next(sampler_b)], it, cfg, opt2)
+    for name, t in model.named().items():
+        np.testing.assert_array_equal(t.data, restored.named()[name].data)
 
 def test_checkpoint_rejects_truncation(tmp_path):
     cfg, model, opt, _ = train_briefly()
