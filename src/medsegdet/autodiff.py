@@ -506,11 +506,6 @@ def _split_heads(rows: Array, n_heads: int) -> Array:
     return rows.reshape(rows.shape[0], n_heads, rows.shape[1] // n_heads).transpose(1, 0, 2)
 
 
-def _merge_heads(heads: Array) -> Array:
-    """(H, S, dh) heads -> (S, H·dh) rows."""
-    return heads.transpose(1, 0, 2).reshape(heads.shape[1], heads.shape[0] * heads.shape[2])
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=None) -> Tensor:
     """Multi-head softmax attention over sequences packed row-wise, in one node.
 
@@ -543,11 +538,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
         qs, ks = slice(qo, qo + S), slice(ko, ko + M)
         allowed = np.arange(M) <= cached + np.asarray(pos)[:, None]
         allowed[:, : cached + P] = True
-        scores = _split_heads(Q[qs], n_heads) @ _split_heads(K[ks], n_heads).transpose(0, 2, 1)
-        scores = np.where(allowed, scores * scale, -np.inf)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
-        out[qs] = _merge_heads(w @ _split_heads(V[ks], n_heads))
+        w = _split_heads(Q[qs], n_heads) @ _split_heads(K[ks], n_heads).transpose(0, 2, 1)
+        w *= scale
+        # -inf only for the row max: np.exp takes a slow path on -inf
+        np.copyto(w, -np.inf, where=~allowed)
+        w -= w.max(axis=-1, keepdims=True)
+        np.copyto(w, 0.0, where=~allowed)
+        np.exp(w, out=w)
+        w *= allowed
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, _split_heads(V[ks], n_heads), out=_split_heads(out[qs], n_heads))
         spans.append((qs, ks, w))
         qo, ko = qo + S, ko + M
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
@@ -559,14 +559,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
         for qs, ks, w in spans:
             go = _split_heads(g[qs], n_heads)
             if rv:
-                dv[ks] = _merge_heads(w.transpose(0, 2, 1) @ go)
+                np.matmul(w.transpose(0, 2, 1), go, out=_split_heads(dv[ks], n_heads))
             if rq or rk:
-                dw = go @ _split_heads(V[ks], n_heads).transpose(0, 2, 1)
-                ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
+                ds = go @ _split_heads(V[ks], n_heads).transpose(0, 2, 1)
+                ds -= (ds * w).sum(axis=-1, keepdims=True)
+                ds *= w
+                ds *= scale
                 if rq:
-                    dq[qs] = _merge_heads(ds @ _split_heads(K[ks], n_heads))
+                    np.matmul(ds, _split_heads(K[ks], n_heads), out=_split_heads(dq[qs], n_heads))
                 if rk:
-                    dk[ks] = _merge_heads(ds.transpose(0, 2, 1) @ _split_heads(Q[qs], n_heads))
+                    np.matmul(ds.transpose(0, 2, 1), _split_heads(Q[qs], n_heads), out=_split_heads(dk[ks], n_heads))
         return (dq, dk, dv)
 
     return _record(out, (q, k, v), grad_fn)

@@ -100,6 +100,7 @@ PRESETS = {
 
 # fields that fix tensor shapes; a warm start must agree on all of them
 ARCH_FIELDS = ("d_model", "n_blocks", "n_heads", "mllm_patch", "vision_patch", "vision_dim", "max_seq")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fail(code: int, message: str) -> int:
@@ -226,6 +227,9 @@ def cmd_train(args) -> int:
     else:
         model = init_model(cfg)
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    print(f"blas: {blas['name']} {blas['version']}; {threads}")  # results are bitwise only for one BLAS setup
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w") as log_file:
 

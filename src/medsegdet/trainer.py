@@ -5,14 +5,15 @@ referring/reasoning mix, runs each batch's teacher-forced sequences
 through the LM in one packed pass and then fusion, both decoders and
 their losses once on (B, …) tensors (``_heads``, which evaluation shares),
 applies AdamW with warmup-decay, and round-trips everything through a
-binary checkpoint format. The fine-tune mode adds a gradient-detached
-reference forward pass driven by the bare-label query, through the model
-as the fine-tune began, and supervises the similarity maps against it.
+binary checkpoint format. The fine-tune mode supervises the similarity
+maps against reference maps from the bare-label query, through the model
+as the fine-tune began: one gradient-free pass per distinct sample, memoised.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import logging
 import os
@@ -259,12 +260,14 @@ def lr_schedule(it: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptState:
-    """AdamW moments and step count; in fine-tune, also the frozen model the reference maps come from."""
+    """AdamW moments and step count; in fine-tune, also the frozen model the reference
+    maps come from and ``ref_maps``, the memo of ``reference_maps`` (not checkpointed)."""
 
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     reference: Model | None = None
+    ref_maps: dict = field(default_factory=dict)
 
 
 def init_opt_state(params: dict[str, Tensor]) -> OptState:
@@ -366,13 +369,28 @@ def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[F
     return fused, box, mlogits
 
 
-def reference_maps(model: Model, batch: list[TrainSample]) -> Tensor:
-    """The fine-tune targets: (B, P) similarity maps of the bare-label queries, without grad."""
+def reference_maps(model: Model, batch: list[TrainSample], memo: dict | None = None) -> Tensor:
+    """The fine-tune targets: (B, P) similarity maps of the bare-label queries, without grad.
+
+    ``memo`` maps what ``_teacher_forced`` reads of a sample (image shape and
+    SHA-1 of its bytes, reference query, answer) to its (P,) map, for a model
+    that does not change.  A sample missing from it goes through the LM and
+    fusion alone, so its map's bits never depend on the batch or the memo.
+    """
+    memo = {} if memo is None else memo
+    keys = [
+        (s.record.image.shape, hashlib.sha1(np.ascontiguousarray(s.record.image)).digest(), s.x_hat_txt, s.answer)
+        for s in batch
+    ]
     with ad.no_grad():
-        seqs = [_teacher_forced(model, s, s.x_hat_txt) for s in batch]
-        rows, bundle_of = candidate_bundles(seqs, model.vocab, image=True)
-        bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
-        return similarity_map(bundle.h_img, fuse_candidates(bundle, model.router, model.cfg.fusion).h_seg)
+        for key, s in zip(keys, batch):
+            if key not in memo:
+                seqs = [_teacher_forced(model, s, s.x_hat_txt)]
+                rows, bundle_of = candidate_bundles(seqs, model.vocab, image=True)
+                bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
+                fused = fuse_candidates(bundle, model.router, model.cfg.fusion)
+                memo[key] = similarity_map(bundle.h_img, fused.h_seg).data[0]
+    return Tensor(np.stack([memo[key] for key in keys]))
 
 
 def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None = None) -> LossReport:
@@ -405,13 +423,13 @@ def train_step(
 ) -> LossReport:
     """Forward + losses + one AdamW step over the batch mean.
 
-    The batch's sequences go through the LM once, packed row-wise (in
-    fine-tune mode, the reference queries once more under ``no_grad``),
-    and fusion, the decoders and their losses once on (B, …) tensors, so
-    the batch needs one image shape (ShapeError otherwise).  The fine-tune
+    The batch's sequences go through the LM once, packed row-wise, and
+    fusion, the decoders and their losses once on (B, …) tensors, so the
+    batch needs one image shape (ShapeError otherwise).  The fine-tune
     reference maps come from ``opt.reference``, a copy of the model taken
     at its first fine-tune step and never trained, so the targets hold
-    still while the model learns to meet them.  Raises
+    still while the model learns to meet them; a sample's map is computed
+    the first time it is drawn, and then read from ``opt.ref_maps``.  Raises
     NonFiniteTrainingError, naming the iteration and the parameters AdamW
     skipped, at a non-finite loss or gradient.
     """
@@ -423,8 +441,8 @@ def train_step(
     one_image_shape([s.record for s in batch])
     ad.reset_tape()
     if finetune and opt.reference is None:
-        opt.reference = copy.deepcopy(model)
-    report = batch_losses(model, batch, reference_maps(opt.reference, batch) if finetune else None)
+        opt.reference, opt.ref_maps = copy.deepcopy(model), {}
+    report = batch_losses(model, batch, reference_maps(opt.reference, batch, opt.ref_maps) if finetune else None)
     ad.backward(report.total)
     skipped = adamw_step(model.trainable(), opt, lr_schedule(it, cfg), cfg.weight_decay)
     if skipped or not np.isfinite(report.total.data):

@@ -108,6 +108,20 @@ def test_train_writes_checkpoint_and_jsonl_log(tmp_path):
         assert "sim" not in entry
 
 
+def test_train_names_its_blas_and_thread_settings(tmp_path, capsys, monkeypatch):
+    # trained bits depend on the BLAS kernel and thread count, so the run says which it had
+    data = make_data(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    capsys.readouterr()
+    train_tiny(tmp_path, data)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("blas")] == [
+        f"blas: {blas['name']} {blas['version']}; OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset, MKL_NUM_THREADS=2"
+    ]
+
+
 def test_train_bad_config_field_is_usage_error(tmp_path, capsys):
     data = make_data(tmp_path)
     cfg = tmp_path / "bad.json"

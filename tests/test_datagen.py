@@ -2,11 +2,14 @@
 
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from medsegdet.datagen import (
     CATEGORIES,
@@ -28,6 +31,7 @@ from medsegdet.datagen import (
     training_ready,
     write_jsonl,
 )
+from medsegdet.cli import _jsonl_bytes
 from medsegdet.metrics import mask2box
 
 
@@ -238,6 +242,44 @@ def test_jsonl_round_trip(tmp_path):
         np.testing.assert_allclose(back.image, orig.image, atol=1e-7)  # float32 storage
         assert back.box.as_floats() == orig.box.as_floats()
         assert back.qa == orig.qa
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)  # non-ASCII, controls and quotes included
+
+
+@st.composite
+def random_records(draw):
+    # a valid record: a nonempty mask and the box read off it
+    H, W = draw(st.integers(1, 9)), draw(st.integers(1, 17))
+    mask = draw(arrays(np.bool_, (H, W)))
+    mask[draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))] = True
+    qa = st.builds(QAPair, _TEXT, _TEXT, _TEXT, _TEXT)
+    return ImageRecord(
+        id=draw(_TEXT),
+        image=draw(arrays(np.float32, (H, W), elements=st.floats(width=32, allow_nan=False))).astype(np.float64),
+        mask=mask,
+        box=mask2box(mask),
+        label=draw(_TEXT),
+        modality=draw(_TEXT),
+        qa=draw(st.lists(qa, max_size=3)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records=st.lists(random_records(), max_size=4))
+def test_jsonl_round_trip_of_random_records(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.jsonl"
+        write_jsonl(records, path)
+        data = path.read_bytes()
+        loaded = read_jsonl(path)
+    assert _jsonl_bytes(records) == data
+    assert len(loaded) == len(records)
+    for orig, back in zip(records, loaded):
+        assert (back.id, back.label, back.modality, back.qa) == (orig.id, orig.label, orig.modality, orig.qa)
+        assert back.image.dtype == np.float64 and back.image.tobytes() == orig.image.tobytes()
+        assert back.mask.dtype == bool and np.array_equal(back.mask, orig.mask)
+        assert back.box.as_floats() == orig.box.as_floats()
 
 
 def test_jsonl_schema_fields(tmp_path):

@@ -329,6 +329,28 @@ def test_train_step_finetune_targets_the_model_it_started_from():
     assert all(np.array_equal(t.data, start[n]) for n, t in opt.reference.named().items())
     assert not all(np.array_equal(t.data, start[n]) for n, t in model.named().items())
 
+def test_reference_map_of_a_sample_ignores_its_batch_and_the_memo():
+    # a sample's map has the same bits computed alone, beside other samples
+    # and read from a warm memo; a packed batch would round the router's
+    # products differently from a one-sample batch
+    cfg = TrainConfig.from_dict({**PRESETS["finetune"], "mix_ratio": [0, 1]})
+    model = init_model(cfg)
+    records = short_qa_records(4, seed=0)
+    samples = [TrainSample(r, r.qa[0].question, r.qa[0].answer, "reasoning", r.label) for r in records]
+    alone = [trainer.reference_maps(model, [s]).data[0] for s in samples]
+    beside = trainer.reference_maps(model, samples).data
+    assert [a.tobytes() for a in alone] == [b.tobytes() for b in beside]
+    # the referring sample asks another question, but the reference pass
+    # reads the same image, reference query and answer
+    rec = records[0]
+    referring = TrainSample(rec, f"Segment the {rec.label}.", default_answer(rec.label, 2), "referring", rec.label)
+    memo = {}
+    trainer.reference_maps(model, samples[:0:-1], memo)
+    warm = trainer.reference_maps(model, [referring] + samples, memo).data
+    assert len(memo) == len(samples)
+    assert [w.tobytes() for w in warm] == [alone[0].tobytes()] + [a.tobytes() for a in alone]
+
+
 def test_train_step_keeps_frozen_tensors_bitwise():
     cfg, model, records = build_tiny()
     frozen_before = {n: t.data.copy() for n, t in model.frozen().items()}
@@ -467,7 +489,10 @@ def test_train_step_rejects_a_batch_of_two_image_shapes():
 # (step-0 loss within 2.3e-16 relative and gradients within 9.1e-15 of the
 # per-sample heads before it); the fine-tune entry was re-recorded when its
 # reference maps moved to the frozen copy taken at the first step (step 0's
-# loss is unchanged, as that copy equals the model there)
+# loss is unchanged, as that copy equals the model there), and again when each
+# sample's reference map was computed alone and memoised (losses within
+# 8.8e-16 relative and gradients within 9.1e-15 of each tensor's largest
+# entry: only the router's one-row products round differently)
 RECORDED_STEPS = {
     "end2end": (
         ("0x1.ecf4ba88fa221p+2", "0x1.e00fc124b35e4p+2", "0x1.da76c5852f0b8p+2"),
@@ -519,50 +544,50 @@ RECORDED_STEPS = {
         },
     ),
     "finetune": (
-        ("0x1.84c1af5aa3d10p+7", "0x1.04234a028564ep+8"),
+        ("0x1.84c1af5aa3d0ap+7", "0x1.04234a028564bp+8"),
         {
-            "mllm.tok_emb": "a17eb9d468c61152",
-            "mllm.pos_emb": "251c18bd779e1cc7",
-            "mllm.out_proj": "b0481d18a701c3a0",
-            "mllm.blocks.0.ln1_g": "b08ca0ccbb082c00",
-            "mllm.blocks.0.ln1_b": "300881cc7236956b",
-            "mllm.blocks.0.wq": "84caed87f3244d34",
-            "mllm.blocks.0.wk": "a108125885371f2c",
-            "mllm.blocks.0.wv": "c8f51d6390aff881",
-            "mllm.blocks.0.wo": "a089a249c6bbe6e5",
-            "mllm.blocks.0.ln2_g": "b29a677a3754d5e5",
-            "mllm.blocks.0.ln2_b": "e6f8ab8f2c3e982d",
-            "mllm.blocks.0.w1": "435aa9b6f2f84dab",
-            "mllm.blocks.0.b1": "247ce21841144650",
-            "mllm.blocks.0.w2": "4a8bdc58aaeb54d0",
-            "mllm.blocks.0.b2": "54433d6c0b4eb6b7",
-            "mllm.blocks.1.ln1_g": "17bb0122b50842b9",
-            "mllm.blocks.1.ln1_b": "500b38bd30e12ff3",
-            "mllm.blocks.1.wq": "2b1f8149419fbef1",
-            "mllm.blocks.1.wk": "a80d6528e0dbbddf",
-            "mllm.blocks.1.wv": "d7639274f467d3cd",
-            "mllm.blocks.1.wo": "8f641d84e7cf04c8",
-            "mllm.blocks.1.ln2_g": "e7d001c680d6a2e8",
-            "mllm.blocks.1.ln2_b": "286907015e9103d8",
-            "mllm.blocks.1.w1": "41e863caa427cb5d",
-            "mllm.blocks.1.b1": "9ba09e77551f91b3",
-            "mllm.blocks.1.w2": "16d4719bae55d84e",
-            "mllm.blocks.1.b2": "fdf56f0fa5183c78",
-            "router.seg_w1": "5a386eec84e3b9f1",
-            "router.seg_b1": "866a88d98be4f13c",
-            "router.seg_w2": "77a31952fbaf9d67",
-            "router.seg_b2": "1225165e81932931",
-            "router.det_w1": "5ab6e198f5c815e6",
-            "router.det_b1": "0c6267850da1b79d",
-            "router.det_w2": "59203bf0cd4848b0",
-            "router.det_b2": "ef5bfe8074831d77",
-            "bbox.w1": "b73755c98c22deb2",
+            "mllm.tok_emb": "66b9876321d92f34",
+            "mllm.pos_emb": "24e6c04f39e67c4e",
+            "mllm.out_proj": "3cfee9fd73deaa80",
+            "mllm.blocks.0.ln1_g": "d5221a5187be2a29",
+            "mllm.blocks.0.ln1_b": "9d9e3d20d002ac51",
+            "mllm.blocks.0.wq": "9419a8a762c2ac3a",
+            "mllm.blocks.0.wk": "bc51a1d6dd38fdee",
+            "mllm.blocks.0.wv": "1ced5d161f051c72",
+            "mllm.blocks.0.wo": "a04a328dfbef31d8",
+            "mllm.blocks.0.ln2_g": "41132c51e1573273",
+            "mllm.blocks.0.ln2_b": "b95c42643fc4dbae",
+            "mllm.blocks.0.w1": "8f97566b5e8eb6cd",
+            "mllm.blocks.0.b1": "9c818000ca0fb35d",
+            "mllm.blocks.0.w2": "9c3fd0f4a5195c0f",
+            "mllm.blocks.0.b2": "59e9afdfe030abdf",
+            "mllm.blocks.1.ln1_g": "f6e1581e0924fc9d",
+            "mllm.blocks.1.ln1_b": "4b150b31ee236517",
+            "mllm.blocks.1.wq": "4da8eeaf95e22797",
+            "mllm.blocks.1.wk": "b68611252ebb06ce",
+            "mllm.blocks.1.wv": "ea144f1f3aa5165e",
+            "mllm.blocks.1.wo": "1143a58d512f7680",
+            "mllm.blocks.1.ln2_g": "1ca15164e1dda6a8",
+            "mllm.blocks.1.ln2_b": "37e399b10627c54c",
+            "mllm.blocks.1.w1": "902c1285f3cfe9e5",
+            "mllm.blocks.1.b1": "862cf0e70fe4d307",
+            "mllm.blocks.1.w2": "19abf93161525808",
+            "mllm.blocks.1.b2": "ac165d885cf94d5d",
+            "router.seg_w1": "f1501da5e276afa1",
+            "router.seg_b1": "cc5f952ff18fbb65",
+            "router.seg_w2": "91cf8909ff1318ac",
+            "router.seg_b2": "ca94db8702594294",
+            "router.det_w1": "c69469e63c3841df",
+            "router.det_b1": "49afb4efb5895184",
+            "router.det_w2": "98e40b37f626f62f",
+            "router.det_b2": "8ec5de6701257cac",
+            "bbox.w1": "6ad76e64994cc15b",
             "bbox.b1": "48176727850f7111",
-            "bbox.w2": "393e7d3d3b957e6c",
+            "bbox.w2": "2e8db5e7e511bbcd",
             "bbox.b2": "2e9cc1078432db30",
-            "bbox.w3": "87d8fcee9598c00d",
+            "bbox.w3": "771a2b22475d6b41",
             "bbox.b3": "822984caaa6d5138",
-            "maskdec.w_p": "063fb5f784813ad6",
+            "maskdec.w_p": "672f2db234b55c1e",
             "maskdec.gamma": "3dedd7035b84e0e8",
             "maskdec.b": "d089465bfef7e8b7",
         },
@@ -685,16 +710,22 @@ def test_checkpoint_resume_training_is_bitwise_identical(tmp_path):
 
 
 def test_checkpoint_resume_finetune_keeps_its_reference(tmp_path):
-    # a fine-tune resumes against the reference it began with, not the model it resumes
+    # a fine-tune resumes against the reference it began with, not the model it
+    # resumes; samples memoised before the save recur after it, where the
+    # resumed run recomputes their maps from an empty memo to the same bits
     cfg, model, opt, records = train_briefly(mode="finetune")
     path = tmp_path / "ft.ckpt"
     save_checkpoint(path, model, opt, iteration=4)
     restored, opt2 = restore_model(load_checkpoint(path))
+    memoised = set(opt.ref_maps)
+    assert memoised and not opt2.ref_maps
     sampler_a = mixed_sampler(records, records, seed=99)
     sampler_b = mixed_sampler(records, records, seed=99)
     for it in range(3):
-        train_step(model, [next(sampler_a)], it, cfg, opt)
-        train_step(restored, [next(sampler_b)], it, cfg, opt2)
+        a = train_step(model, [next(sampler_a)], it, cfg, opt)
+        b = train_step(restored, [next(sampler_b)], it, cfg, opt2)
+        assert a.scalars() == b.scalars()
+    assert memoised & set(opt2.ref_maps)
     for name, t in model.named().items():
         np.testing.assert_array_equal(t.data, restored.named()[name].data)
 
