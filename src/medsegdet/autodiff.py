@@ -422,13 +422,18 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 # -- nonlinearities ----------------------------------------------------------
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x, dtype=np.float64)
+def _sigmoid(x: Array) -> Array:
+    """The logistic function of an array, computed without overflow."""
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -439,18 +444,8 @@ def relu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow."""
-    out = np.logaddexp(0.0, a.data)
     x = a.data
-
-    def grad_fn(g):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
-
-    return _record(out, (a,), grad_fn)
+    return _record(np.logaddexp(0.0, x), (a,), lambda g: (g * _sigmoid(x),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -615,28 +610,14 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- resampling --------------------------------------------------------------
 
-_BILINEAR_CACHE: dict = {}
-
-
-def _bilinear_indices(h: int, w: int, H: int, W: int):
-    key = (h, w, H, W)
-    hit = _BILINEAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    def axis_weights(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
-        lo = np.floor(src)
-        t = src - lo
-        i0 = np.clip(lo, 0, n_in - 1).astype(np.intp)
-        i1 = np.clip(lo + 1, 0, n_in - 1).astype(np.intp)
-        return i0, i1, t
-
-    i0, i1, ty = axis_weights(h, H)
-    j0, j1, tx = axis_weights(w, W)
-    hit = (i0, i1, ty[:, None], j0, j1, tx[None, :])
-    _BILINEAR_CACHE[key] = hit
-    return hit
+def _axis_weights(n_in: int, n_out: int):
+    """Source pixels below and above each output pixel centre, and the weight of the upper one."""
+    src = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
+    lo = np.floor(src)
+    t = src - lo
+    i0 = np.clip(lo, 0, n_in - 1).astype(np.intp)
+    i1 = np.clip(lo + 1, 0, n_in - 1).astype(np.intp)
+    return i0, i1, t
 
 
 def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
@@ -647,7 +628,9 @@ def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
     H, W = out_hw
     if h == H and w == W:
         return _record(a.data.copy(), (a,), lambda g: (g,))
-    i0, i1, ty, j0, j1, tx = _bilinear_indices(h, w, H, W)
+    i0, i1, ty = _axis_weights(h, H)
+    j0, j1, tx = _axis_weights(w, W)
+    ty, tx = ty[:, None], tx[None, :]
     x = a.data
     # the four neighbours of every output pixel, as index tuples on the last two axes
     k00, k01 = (..., i0[:, None], j0), (..., i0[:, None], j1)

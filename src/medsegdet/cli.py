@@ -24,6 +24,7 @@ from .datagen import (
     dataset_stats,
     generate_pipeline,
     read_jsonl,
+    record_to_json,
     split_dataset,
     synth_records,
     training_ready,
@@ -42,6 +43,8 @@ from .fusion import CandidateBundle, FusionConfig, fuse_candidates, init_router_
 from .losses import LossWeights, bbox_loss, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample
 from .mllm import (
+    CandidateAbsentError,
+    DuplicateCandidateError,
     LmConfig,
     VocabSpec,
     build_sequence,
@@ -101,6 +104,9 @@ PRESETS = {
 # fields that fix tensor shapes; a warm start must agree on all of them
 ARCH_FIELDS = ("d_model", "n_blocks", "n_heads", "mllm_patch", "vision_patch", "vision_dim", "max_seq")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# data the model cannot take: an image or prompt that does not fit it, or
+# answers without its candidate tokens
+MODEL_DATA_ERRORS = (ShapeError, CandidateAbsentError, DuplicateCandidateError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -129,9 +135,7 @@ def _write_all_or_nothing(writes: list[tuple[Path, bytes]]) -> None:
 
 
 def _jsonl_bytes(records) -> bytes:
-    # canonical serializer, matching write_jsonl byte for byte
-    from .datagen import record_to_json
-
+    """One JSON line per record, non-ASCII text escaped; ``datagen.read_jsonl`` reads it back."""
     return "".join(json.dumps(record_to_json(r)) + "\n" for r in records).encode()
 
 
@@ -240,6 +244,8 @@ def cmd_train(args) -> int:
             opt, _ = run_training(model, referring, reasoning, cfg, log_fn=log_fn)
         except NonFiniteTrainingError as exc:
             return _fail(EXIT_NUMERIC, f"training diverged at {exc}")
+        except MODEL_DATA_ERRORS as exc:
+            return _fail(EXIT_DATA, f"training split {data_file}: {exc}")
     save_checkpoint(args.out, model, opt, iteration=cfg.total_iters)
     print(f"wrote {args.out} and {log_path}")
     return EXIT_OK
@@ -290,7 +296,10 @@ def cmd_eval(args) -> int:
         return _fail(EXIT_DATA, f"cannot load checkpoint: {exc}")
     model, _ = restore_model(ckpt)
 
-    report, samples = evaluate_model(model, records, oracle_mode=args.oracle_mode)
+    try:
+        report, samples = evaluate_model(model, records, oracle_mode=args.oracle_mode)
+    except MODEL_DATA_ERRORS as exc:
+        return _fail(EXIT_DATA, f"split {data_file}: {exc}")
     report_path = Path(args.report)
     dump_path = Path(args.dump) if args.dump else Path(str(args.report) + ".samples.jsonl")
     dump_payload = "".join(json.dumps(sample_to_json(s), sort_keys=True) + "\n" for s in samples)
@@ -475,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--num-samples", type=int, required=True)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--oracle", choices=["mock"], default="mock")
     d.set_defaults(func=cmd_datagen)
 
     t = sub.add_parser("train", help="train a model and write a checkpoint")
@@ -505,7 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, which here means a data error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     return args.func(args)
 
 

@@ -1,11 +1,11 @@
 """Synthetic dataset pipeline.
 
 Generates grayscale images with one labeled object each, then runs a
-caption -> describe -> evaluate -> transform chain behind a pluggable
-oracle interface to attach question/answer pairs, and finally splits and
-serializes everything as JSONL. The bundled mock oracle is deterministic
-and derives its text from record geometry, so the whole pipeline is
-reproducible byte-for-byte.
+caption -> describe -> evaluate -> transform chain through ``MockOracle``
+to attach question/answer pairs, splits the records, and maps each one to
+and from its JSON form (the CLI writes the JSONL files, ``read_jsonl``
+reads them). The oracle is deterministic and derives its text from record
+geometry, so the whole pipeline is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import base64
 import json
 import logging
 import zlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,22 +77,6 @@ def candidate_placeholders(n: int = 2) -> str:
     return " ".join(f"<c{k}>" for k in range(1, n + 1))
 
 
-class OracleInterface(ABC):
-    """The external-LLM roles of the pipeline, stateless per call."""
-
-    @abstractmethod
-    def caption(self, record: ImageRecord) -> str: ...
-
-    @abstractmethod
-    def describe(self, caption: str, info: dict, template: str) -> list[Description]: ...
-
-    @abstractmethod
-    def evaluate(self, description: Description) -> Verdict: ...
-
-    @abstractmethod
-    def transform(self, description: Description, label: str) -> QAPair: ...
-
-
 def _position_phrase(box: BBox) -> str:
     x1, y1, x2, y2 = box.as_floats()
     cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
@@ -110,8 +93,9 @@ def _polarity(record: ImageRecord) -> str:
     return "brighter" if inside >= outside else "darker"
 
 
-class MockOracle(OracleInterface):
-    """Deterministic stand-in: text is a pure function of record geometry.
+class MockOracle:
+    """Deterministic stand-in for the external-LLM roles of the pipeline, stateless
+    per call: text is a pure function of record geometry.
 
     ``policy``, a callable Description -> Verdict, decides the evaluate()
     verdict per description; None (the default) keeps every one.
@@ -242,7 +226,7 @@ def _check_pair(pair: QAPair, label: str, n_candidates: int) -> None:
             raise OracleError(f"answer must contain <c{k}> exactly once: {pair.answer!r}")
 
 
-def _pairs_for_record(record: ImageRecord, oracle: OracleInterface, n_candidates: int) -> list[QAPair]:
+def _pairs_for_record(record: ImageRecord, oracle: MockOracle, n_candidates: int) -> list[QAPair]:
     caption = oracle.caption(record)
     info = {"label": record.label, "box": record.box, "modality": record.modality}
     pairs = []
@@ -268,7 +252,7 @@ def _pairs_for_record(record: ImageRecord, oracle: OracleInterface, n_candidates
 
 def generate_pipeline(
     records: list[ImageRecord],
-    oracle: OracleInterface,
+    oracle: MockOracle,
     n_candidates: int = 2,
     threads: int = 1,
 ) -> list[ImageRecord]:
@@ -389,12 +373,6 @@ def record_from_json(obj: dict) -> ImageRecord:
     if any(abs(x - y) > 1e-9 for x, y in zip(derived, record.box.as_floats())):
         raise DataError(f"record {record.id} box does not match its mask")
     return record
-
-
-def write_jsonl(records: list[ImageRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_json(record)) + "\n")
 
 
 def read_jsonl(path) -> list[ImageRecord]:

@@ -4,8 +4,9 @@ A small MLP turns each detection embedding into a normalized box, a row
 of a (B, 4) corner tensor; a prompt-conditioned linear head turns dense
 visual features (B, Hf, Wf, d), the segmentation embeddings and a
 differentiable soft rasterization of the boxes into (B, H, W) mask
-logits. Also hosts the patch-token similarity maps (B, P) used by the
-fine-tuning objective.
+logits. The features are a plain Tensor from a frozen patchwise
+projection, the vision-backbone stand-in. Also hosts the patch-token
+similarity maps (B, P) used by the fine-tuning objective.
 """
 
 from __future__ import annotations
@@ -48,22 +49,14 @@ class BBox:
 
 
 @dataclass
-class DenseFeatures:
-    """B × Hf × Wf × d feature grids from the frozen vision stand-in."""
-
-    grid: Tensor
-
-
-@dataclass
 class MaskLogits:
     """B × H × W mask logits."""
 
     grid: Tensor
-    threshold: float = 0.0
 
     def binary(self) -> np.ndarray:
-        """Predicted masks: logits above threshold."""
-        return self.grid.data > self.threshold
+        """Predicted masks: positive logits."""
+        return self.grid.data > 0
 
 
 @dataclass
@@ -155,18 +148,18 @@ def soft_box_raster(boxes: Tensor, H: int, W: int, sharpness: float = DEFAULT_SH
     return fy * fx
 
 
-def dense_features(images: np.ndarray, patch_size: int, projection: Tensor) -> DenseFeatures:
-    """Patchwise linear features of a (B, H, W) image stack (the vision-backbone stand-in)."""
+def dense_features(images: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
+    """(B, Hf, Wf, d) patchwise linear features of a (B, H, W) image stack (the vision-backbone stand-in)."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
         raise ShapeError(f"dense_features: expected (B, H, W) images, got {images.shape}")
     B, H, W = images.shape
     rows = encode_image_patches(images, patch_size, projection)
-    return DenseFeatures(grid=rows.reshape(B, H // patch_size, W // patch_size, projection.shape[1]))
+    return rows.reshape(B, H // patch_size, W // patch_size, projection.shape[1])
 
 
 def mask_decode(
-    f: DenseFeatures,
+    f: Tensor,
     h_seg: Tensor,
     boxes: Tensor,
     params: MaskDecoderParams,
@@ -176,10 +169,12 @@ def mask_decode(
 ) -> MaskLogits:
     """Per-cell logit ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.
 
+    ``f`` holds the (B, Hf, Wf, d) feature grids of ``dense_features``.
+
     ``use_box=False`` removes the raster term entirely, severing the
     gradient path from the mask loss into the box decoder.
     """
-    B, Hf, Wf, dim = f.grid.shape
+    B, Hf, Wf, dim = f.shape
     if Hf == 0 or Wf == 0:
         raise ShapeError("mask_decode: empty feature grid")
     if h_seg.shape != (B, params.w_p.shape[0]):
@@ -189,7 +184,7 @@ def mask_decode(
     if params.w_p.shape[1] != dim:
         raise ShapeError(f"mask_decode: feature dim {dim} does not match W_p {params.w_p.shape}")
     q = (h_seg @ params.w_p).reshape(B, dim, 1)
-    dots = (f.grid.reshape(B, Hf * Wf, dim) @ q).reshape(B, Hf, Wf)
+    dots = (f.reshape(B, Hf * Wf, dim) @ q).reshape(B, Hf, Wf)
     if use_box:
         logits_lr = dots + params.gamma * soft_box_raster(boxes, Hf, Wf, sharpness) + params.b
     else:

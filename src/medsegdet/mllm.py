@@ -8,13 +8,15 @@ per-block key/value cache), and candidate-token extraction.  A batch of
 sequences runs as one row matrix (``forward_packed``, no padding): every
 layer sees each row once, one attention node per block keeps each
 sequence to its own rows, and the last block computes just the rows its
-caller reads (the losses: answer predictors, candidates, image rows).
+caller reads, named in ascending order (the losses: answer predictors,
+candidates, image rows).  Text is UTF-8 bytes plus ``<ck>`` candidate
+markers; nothing decodes it back, as the heads read hidden states.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,7 @@ from .autodiff import ShapeError, Tensor
 from .fusion import CandidateBundle
 
 EOS_ID = 0
+LN_EPS = 1e-5
 
 _PLACEHOLDER_RE = re.compile(r"(<c\d+>)")
 
@@ -59,10 +62,6 @@ class VocabSpec:
     def candidate_ids(self) -> list[int]:
         return list(range(self.base_size, self.base_size + self.num_candidates))
 
-    def placeholder(self, k: int) -> str:
-        """Text marker for the k-th candidate token (1-based)."""
-        return f"<c{k}>"
-
 
 def encode_text(text: str, vocab: VocabSpec) -> list[int]:
     """UTF-8 bytes, with ``<ck>`` markers mapped to candidate token ids."""
@@ -81,22 +80,6 @@ def encode_text(text: str, vocab: VocabSpec) -> list[int]:
     return ids
 
 
-def decode_text(ids, vocab: VocabSpec) -> str:
-    out: list[str] = []
-    buf = bytearray()
-    for i in ids:
-        if i >= vocab.base_size:
-            if buf:
-                out.append(buf.decode("utf-8", errors="replace"))
-                buf = bytearray()
-            out.append(vocab.placeholder(i - vocab.base_size + 1))
-        elif i != EOS_ID:
-            buf.append(i)
-    if buf:
-        out.append(buf.decode("utf-8", errors="replace"))
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class LmConfig:
     d_model: int = 64
@@ -105,7 +88,6 @@ class LmConfig:
     base_vocab: int = 256
     patch_size: int = 16
     max_seq: int = 512
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -160,17 +142,11 @@ class ModelParams:
 
 @dataclass
 class MultimodalSequence:
-    """One image-prefixed token sequence.
-
-    ``candidate_positions`` are indices into ``token_ids`` (text-relative)
-    where candidate tokens occur inside the generated region, which starts
-    at ``gen_start``.
-    """
+    """One image-prefixed token sequence; the generated region starts at ``token_ids[gen_start]``."""
 
     patch_embeddings: Tensor
     token_ids: list[int]
     gen_start: int = 0
-    candidate_positions: list[int] = field(default_factory=list)
 
     @property
     def num_patches(self) -> int:
@@ -186,11 +162,7 @@ def build_sequence(
     token_ids = list(prompt_ids) + list(generated_ids)
     if any(t < 0 or t >= vocab.total_size for t in token_ids):
         raise ValueError("token id out of vocabulary")
-    gen_start = len(prompt_ids)
-    positions = [
-        gen_start + i for i, t in enumerate(generated_ids) if t >= vocab.base_size
-    ]
-    return MultimodalSequence(patch_embeddings, token_ids, gen_start, positions)
+    return MultimodalSequence(patch_embeddings, token_ids, len(prompt_ids))
 
 
 def init_params(cfg: LmConfig, seed: int = 0) -> ModelParams:
@@ -305,9 +277,9 @@ def forward_packed(
     each layer sees the ΣSᵢ rows once, and the attention node keeps every
     sequence to its own rows, so a sequence's rows do not depend on the
     others.  ``hidden`` holds every packed row, or just ``rows`` (packed
-    indices, any order) in request order: the last block still takes keys
-    and values from every row, but runs its queries, ``wo``, the residual,
-    LN2 and the FFN on those rows only.  With a ``cache`` (one sequence,
+    indices, sorted and distinct; ShapeError otherwise): the last block
+    still takes keys and values from every row, but runs its queries,
+    ``wo``, the residual, LN2 and the FFN on those rows only.  With a ``cache`` (one sequence,
     under ``no_grad`` only), ``seqs`` holds just the rows not fed yet, and
     only an empty cache takes image patches.  The new rows take the next
     positions, see every cached row and are causal among themselves;
@@ -348,25 +320,24 @@ def forward_packed(
     offsets = np.cumsum([0] + [P + T for P, T, _ in segments])
     queries = None
     if rows is not None:
-        order = np.argsort(rows, kind="stable")  # attention takes each sequence's queries together
-        rows = np.asarray(rows, dtype=np.intp)[order]
+        rows = np.asarray(rows, dtype=np.intp)
+        if (np.diff(rows) <= 0).any():  # attention takes each sequence's queries together, in order
+            raise ShapeError("forward_packed: rows must be sorted and distinct")
         cut = np.searchsorted(rows, offsets)
         queries = [rows[a:b] - o for a, b, o in zip(cut, cut[1:], offsets)]
     last = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
-        h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b, cfg.ln_eps)
+        h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b, LN_EPS)
         k, v = h @ blk.wk, h @ blk.wv
         if cache is not None:
             k, v = cache.extend(i, k, v)
         if i == last and queries is not None:
             x, h = x[rows], h[rows]
         x = x + ad.attention(h @ blk.wq, k, v, segments, cfg.n_heads, queries if i == last else None) @ blk.wo
-        h = ad.relu(ad.layer_norm(x, blk.ln2_g, blk.ln2_b, cfg.ln_eps) @ blk.w1 + blk.b1)
+        h = ad.relu(ad.layer_norm(x, blk.ln2_g, blk.ln2_b, LN_EPS) @ blk.w1 + blk.b1)
         x = x + h @ blk.w2 + blk.b2
     if cache is not None:
         cache.rows = n + int(offsets[-1])
-    if queries is not None and (np.diff(order) < 0).any():
-        x = x[np.argsort(order)]
     return x, offsets.tolist()
 
 
@@ -383,13 +354,8 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
     return hidden, logits
 
 
-def decode_greedy(
-    prompt: MultimodalSequence,
-    params: ModelParams,
-    max_len: int,
-    eos_id: int = EOS_ID,
-) -> list[int]:
-    """Argmax decoding from the prompt; stops after emitting eos_id or max_len.
+def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int) -> list[int]:
+    """Argmax decoding from the prompt; stops after emitting EOS_ID or max_len tokens.
 
     Feeds the prompt once, then each new token, through one ``KVCache``.
     """
@@ -406,7 +372,7 @@ def decode_greedy(
             _, logits = forward(seq, params, cache)
             nxt = int(np.argmax(logits.data[-1]))
             generated.append(nxt)
-            if nxt == eos_id:
+            if nxt == EOS_ID:
                 break
             seq = MultimodalSequence(no_patches, [nxt])
     return generated

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -112,18 +112,6 @@ class TrainConfig:
         r, s = self.mix_ratio
         if r < 0 or s < 0 or r + s <= 0:
             raise ValueError("mix_ratio components must be nonnegative with a positive sum")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in ("weights", "fusion"):
-                out[f.name] = dict(vars(v))
-            elif f.name == "mix_ratio":
-                out[f.name] = list(v)
-            else:
-                out[f.name] = v
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -277,16 +265,9 @@ def init_opt_state(params: dict[str, Tensor]) -> OptState:
     )
 
 
-def adamw_step(
-    params: dict[str, Tensor],
-    opt: OptState,
-    lr: float,
-    weight_decay: float,
-    betas=ADAM_BETAS,
-    eps: float = ADAM_EPS,
-) -> list[str]:
+def adamw_step(params: dict[str, Tensor], opt: OptState, lr: float, weight_decay: float) -> list[str]:
     """One decoupled-weight-decay update; returns names skipped for bad grads."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     opt.step += 1
     t = opt.step
     skipped = []
@@ -304,7 +285,7 @@ def adamw_step(
         v += (1 - b2) * g * g
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
+        p.data -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + weight_decay * p.data)
     return skipped
 
 
@@ -488,6 +469,11 @@ def _predict(model: Model, record: ImageRecord):
         prompt = MultimodalSequence(patches, q_ids, gen_start=len(q_ids))
         # generation must leave the full sequence within the context window
         budget = cfg.max_seq - patches.data.shape[0] - len(q_ids)
+        if budget < 1:
+            raise ShapeError(
+                f"record {record.id}: {patches.data.shape[0]} image patches and {len(q_ids)} prompt "
+                f"tokens leave no room to generate within max_seq {cfg.max_seq}"
+            )
         generated = decode_greedy(prompt, model.lm, min(cfg.max_gen_len, budget))
         seq = build_sequence(patches, q_ids, generated, model.vocab)
         hidden, _ = forward(seq, model.lm)
@@ -547,12 +533,6 @@ class Checkpoint:
     opt_step: int
     config: TrainConfig
 
-    @property
-    def moments(self) -> tuple[dict, dict]:
-        m = {k[len("opt.m."):]: v for k, v in self.tensors.items() if k.startswith("opt.m.")}
-        v = {k[len("opt.v."):]: a for k, a in self.tensors.items() if k.startswith("opt.v.")}
-        return m, v
-
 
 def save_checkpoint(path, model: Model, opt: OptState, iteration: int) -> None:
     """Binary dump of all named tensors, moments, the fine-tune reference, counters, and the config."""
@@ -565,7 +545,7 @@ def save_checkpoint(path, model: Model, opt: OptState, iteration: int) -> None:
         entries[f"opt.v.{n}"] = arr
     entries[_ITER_KEY] = np.asarray(float(iteration))
     entries[_STEP_KEY] = np.asarray(float(opt.step))
-    cfg_bytes = json.dumps(model.cfg.to_dict(), sort_keys=True).encode("utf-8")
+    cfg_bytes = json.dumps(asdict(model.cfg), sort_keys=True).encode("utf-8")
     entries[_CONFIG_KEY] = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(np.float64)
 
     tmp = f"{path}.tmp"
@@ -621,32 +601,26 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _saved_model(ckpt: Checkpoint, prefix: str = "") -> Model:
-    model = init_model(ckpt.config)
-    for name, tensor in model.named().items():
-        if prefix + name not in ckpt.tensors:
+def _load(ckpt: Checkpoint, prefix: str, arrays: dict[str, np.ndarray]) -> None:
+    """Overwrite each array in place with the checkpoint entry ``prefix + name``."""
+    for name, arr in arrays.items():
+        saved = ckpt.tensors.get(prefix + name)
+        if saved is None:
             raise CheckpointError(f"checkpoint lacks tensor {prefix}{name}")
-        saved = ckpt.tensors[prefix + name]
-        if saved.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"tensor {prefix}{name}: checkpoint shape {saved.shape} != model {tensor.data.shape}"
-            )
-        tensor.data[...] = saved
-    return model
+        if saved.shape != arr.shape:
+            raise CheckpointError(f"tensor {prefix}{name}: checkpoint shape {saved.shape} != model {arr.shape}")
+        arr[...] = saved
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, OptState]:
     """Rebuild a model and optimizer state that reproduce saved behavior exactly."""
-    model = _saved_model(ckpt)
-    m, v = ckpt.moments
+    model = init_model(ckpt.config)
+    _load(ckpt, "", {n: t.data for n, t in model.named().items()})
     opt = init_opt_state(model.trainable())
     if any(k.startswith("ref.") for k in ckpt.tensors):
-        opt.reference = _saved_model(ckpt, "ref.")
+        opt.reference = init_model(ckpt.config)
+        _load(ckpt, "ref.", {n: t.data for n, t in opt.reference.named().items()})
     opt.step = ckpt.opt_step
-    for name in opt.m:
-        for kind, saved_moments, moment in (("m", m, opt.m[name]), ("v", v, opt.v[name])):
-            saved = saved_moments.get(name)
-            if saved is None:
-                raise CheckpointError(f"checkpoint lacks optimizer moment opt.{kind}.{name}")
-            moment[...] = saved
+    _load(ckpt, "opt.m.", opt.m)
+    _load(ckpt, "opt.v.", opt.v)
     return model, opt

@@ -16,13 +16,12 @@ import pytest
 
 from medsegdet import autodiff as ad
 from medsegdet.autodiff import Tensor
-from medsegdet.cli import gradcheck_suite
+from medsegdet.cli import _jsonl_bytes, gradcheck_suite
 from medsegdet.datagen import (
     MockOracle,
     generate_pipeline,
     split_dataset,
     synth_records,
-    write_jsonl,
 )
 from medsegdet.decoders import BBox, MaskLogits
 from medsegdet.fusion import (
@@ -398,15 +397,12 @@ def test_criterion_7_box_gradient_flow():
 # -- 8: datagen determinism and structure ---------------------------------------------
 
 
-def test_criterion_8_datagen_determinism(tmp_path):
+def test_criterion_8_datagen_determinism():
     def build():
         return generate_pipeline(synth_records(100, seed=11), MockOracle(seed=11))
 
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     first, second = build(), build()
-    write_jsonl(first, a)
-    write_jsonl(second, b)
-    byte_identical = a.read_bytes() == b.read_bytes()
+    byte_identical = _jsonl_bytes(first) == _jsonl_bytes(second)
 
     structure_ok = True
     for rec in first:

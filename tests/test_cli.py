@@ -9,8 +9,8 @@ import pytest
 
 from medsegdet import autodiff as ad
 from medsegdet import trainer
-from medsegdet.cli import gradcheck_suite, main, sample_from_json
-from medsegdet.datagen import read_jsonl, synth_records, write_jsonl
+from medsegdet.cli import _jsonl_bytes, gradcheck_suite, main, sample_from_json
+from medsegdet.datagen import read_jsonl, synth_records
 from medsegdet.metrics import evaluate_samples
 from medsegdet.trainer import load_checkpoint
 
@@ -51,6 +51,28 @@ def train_tiny(tmp_path, data, **overrides):
     ckpt = tmp_path / "run.ckpt"
     assert run("train", "--data", data, "--config", cfg, "--out", ckpt) == 0
     return ckpt
+
+
+def write_split(tmp_path, records, split="train"):
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    (data / f"{split}.jsonl").write_bytes(_jsonl_bytes(records))
+    return data
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train"], 1),
+    (["datagen", "--out", "out", "--num-samples", "abc"], 1),
+    (["eval", "--data", "d", "--ckpt", "c", "--report", "r", "--split", "bogus"], 1),
+    (["bogus"], 1),
+    (["--help"], 0),
+    (["train", "--help"], 0),
+], ids=["train-without-flags", "num-samples-abc", "split-bogus", "unknown-command", "help", "train-help"])
+def test_parser_errors_exit_1_and_help_exits_0(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == code
+    assert "usage: medsegdet" in capsys.readouterr()[code == 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- datagen -------------------------------------------------------------------------
@@ -162,13 +184,33 @@ def test_train_missing_data_is_data_error(tmp_path):
 
 
 def test_train_split_of_two_image_shapes_is_data_error(tmp_path, capsys):
-    data = tmp_path / "mixed"
-    data.mkdir()
-    write_jsonl(synth_records(2, seed=3) + synth_records(1, seed=4, hw=(32, 32)), data / "train.jsonl")
+    data = write_split(tmp_path, synth_records(2, seed=3) + synth_records(1, seed=4, hw=(32, 32)))
     out = tmp_path / "m.ckpt"
     assert run("train", "--data", data, "--config", write_config(tmp_path), "--out", out) == 2
     assert "(64, 64) and (32, 32)" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "m.ckpt.log").exists()
+
+
+@pytest.mark.parametrize("hw, message", [
+    ((336, 336), "exceeds max_seq 384"),
+    ((40, 40), "(40, 40) not divisible by patch 16"),
+], ids=["336x336", "40x40"])
+def test_train_on_images_the_model_cannot_take_is_data_error(tmp_path, capsys, hw, message):
+    data = write_split(tmp_path, synth_records(2, seed=3, hw=hw))
+    cfg = write_config(tmp_path, mllm_patch=16, max_seq=384, mix_ratio=[1, 0])
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", data, "--config", cfg, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_on_answers_without_a_candidate_token_is_data_error(tmp_path, capsys):
+    data = make_data(tmp_path)
+    cfg = write_config(tmp_path, fusion={"n": 3}, mix_ratio=[0, 1])  # QA answers hold <c1> <c2> only
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", data, "--config", cfg, "--out", out) == 2
+    assert "candidate token 258 absent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_init_architecture_mismatch_is_usage_error(tmp_path, capsys):
@@ -216,6 +258,22 @@ def test_eval_missing_split_is_data_error(tmp_path):
                "--report", report)
     assert code == 2
     assert not report.exists()
+
+
+@pytest.mark.parametrize("hw, message", [
+    ((336, 336), "record rec00000: 441 image patches and 24 prompt tokens leave no room"),
+    ((40, 40), "(40, 40) not divisible by patch 16"),
+], ids=["336x336", "40x40"])
+def test_eval_on_images_the_model_cannot_take_is_data_error(tmp_path, capsys, hw, message):
+    data = write_split(tmp_path, synth_records(1, seed=3, hw=hw), split="val")
+    cfg = trainer.TrainConfig.from_dict(dict(TINY, mllm_patch=16, max_seq=384))
+    model = trainer.init_model(cfg)
+    ckpt = tmp_path / "untrained.ckpt"
+    trainer.save_checkpoint(ckpt, model, trainer.init_opt_state(model.trainable()), iteration=0)
+    report = tmp_path / "report.txt"
+    assert run("eval", "--data", data, "--ckpt", ckpt, "--report", report) == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
 
 
 def test_eval_same_checkpoint_twice_is_byte_identical(tmp_path):

@@ -8,7 +8,6 @@ from medsegdet.autodiff import NonFiniteError, ShapeError, Tensor
 from medsegdet.decoders import (
     BBox,
     BBoxParams,
-    DenseFeatures,
     MaskDecoderParams,
     bbox_decode,
     dense_features,
@@ -134,7 +133,7 @@ def test_raster_rejects_bad_sharpness():
 def test_dense_features_grid_shape():
     proj = Tensor(np.random.default_rng(5).normal(size=(4, 7)))
     f = dense_features(np.random.default_rng(6).normal(size=(2, 8, 6)), 2, proj)
-    assert f.grid.shape == (2, 4, 3, 7)
+    assert f.shape == (2, 4, 3, 7)
     with pytest.raises(ShapeError):
         dense_features(np.zeros((1, 7, 6)), 2, proj)
     with pytest.raises(ShapeError):
@@ -143,7 +142,7 @@ def test_dense_features_grid_shape():
 
 def test_mask_decode_null_prompt_constant_bias():
     rng = np.random.default_rng(7)
-    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
+    f = Tensor(rng.normal(size=(1, 4, 4, 5)))
     params = MaskDecoderParams(
         w_p=Tensor(rng.normal(size=(6, 5)), requires_grad=True),
         gamma=Tensor(0.0, requires_grad=True),
@@ -154,7 +153,7 @@ def test_mask_decode_null_prompt_constant_bias():
 
 
 def test_mask_decode_box_dominated_limit_matches_box_interior():
-    f = DenseFeatures(Tensor(np.zeros((1, 8, 8, 5))))
+    f = Tensor(np.zeros((1, 8, 8, 5)))
     params = MaskDecoderParams(
         w_p=Tensor(np.zeros((6, 5))), gamma=Tensor(20.0), b=Tensor(-10.0)
     )
@@ -173,7 +172,7 @@ def test_mask_gradient_reaches_bbox_parameters():
     rng = np.random.default_rng(8)
     bparams = init_bbox_params(d=6, hidden=4, seed=9)
     mparams = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=10)
-    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
+    f = Tensor(rng.normal(size=(1, 4, 4, 5)))
     h_det = Tensor(rng.normal(size=(1, 6)))
     h_seg = Tensor(rng.normal(size=(1, 6)))
     box = bbox_decode(h_det, bparams)
@@ -197,7 +196,7 @@ def test_mask_decode_linear_in_features_when_box_channel_off():
     a, b = 1.7, -0.4
 
     def run(grid):
-        return mask_decode(DenseFeatures(Tensor(grid)), h_seg, box, params, (8, 8)).grid.data
+        return mask_decode(Tensor(grid), h_seg, box, params, (8, 8)).grid.data
 
     np.testing.assert_allclose(
         run(a * F1 + b * F2), a * run(F1) + b * run(F2), atol=1e-10
@@ -209,10 +208,10 @@ def test_mask_decode_rows_equal_each_sample_decoded_alone():
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=23)
     grids, prompts = rng.normal(size=(3, 4, 4, 5)), rng.normal(size=(3, 6))
     corners = np.array([[0.1, 0.2, 0.6, 0.7], [0.3, 0.0, 0.9, 0.5], [0.0, 0.0, 1.0, 1.0]])
-    batch = mask_decode(DenseFeatures(Tensor(grids)), Tensor(prompts), Tensor(corners), params, (8, 8))
+    batch = mask_decode(Tensor(grids), Tensor(prompts), Tensor(corners), params, (8, 8))
     for i in range(3):
         alone = mask_decode(
-            DenseFeatures(Tensor(grids[i : i + 1])), Tensor(prompts[i : i + 1]),
+            Tensor(grids[i : i + 1]), Tensor(prompts[i : i + 1]),
             Tensor(corners[i : i + 1]), params, (8, 8),
         )
         np.testing.assert_allclose(batch.grid.data[i], alone.grid.data[0], rtol=1e-13, atol=1e-13)
@@ -220,13 +219,13 @@ def test_mask_decode_rows_equal_each_sample_decoded_alone():
 
 def test_mask_decode_dimension_mismatches_rejected():
     rng = np.random.default_rng(12)
-    f = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 5))))
+    f = Tensor(rng.normal(size=(1, 4, 4, 5)))
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=13)
     with pytest.raises(ShapeError):
         mask_decode(f, Tensor(np.zeros((1, 7))), boxes(0, 0, 1, 1), params, (8, 8))
     with pytest.raises(ShapeError):
         mask_decode(f, Tensor(np.zeros((2, 6))), boxes(0, 0, 1, 1), params, (8, 8))
-    bad = DenseFeatures(Tensor(rng.normal(size=(1, 4, 4, 9))))
+    bad = Tensor(rng.normal(size=(1, 4, 4, 9)))
     with pytest.raises(ShapeError):
         mask_decode(bad, Tensor(np.zeros((1, 6))), boxes(0, 0, 1, 1), params, (8, 8))
 
@@ -237,7 +236,7 @@ def test_mask_decode_gradcheck():
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=15)
     h_seg = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     coords = Tensor([[0.2, 0.25, 0.8, 0.7], [0.1, 0.3, 0.5, 0.9]], requires_grad=True)
-    f = DenseFeatures(Tensor(rng.normal(size=(2, 3, 3, 5))))
+    f = Tensor(rng.normal(size=(2, 3, 3, 5)))
     weights = rng.normal(size=(2, 6, 6))
 
     def loss():

@@ -2,7 +2,9 @@
 steps on a tiny model, checkpoint round-trips, and evaluation plumbing."""
 
 import hashlib
+import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -234,7 +236,7 @@ def test_mixed_sampler_samples_are_well_formed_and_deterministic():
 
 def test_config_round_trip_through_dict():
     cfg = tiny_config(mode="finetune", weights=LossWeights(bce=3.5), mix_ratio=(1, 1))
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig.from_dict(json.loads(json.dumps(asdict(cfg))))  # as a checkpoint stores it
     assert again == cfg
 
 
