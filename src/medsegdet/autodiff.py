@@ -202,9 +202,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
-    def transpose(self):
-        return transpose(self)
-
     @property
     def T(self):
         return transpose(self)
@@ -396,28 +393,6 @@ def tslice(a: Tensor, key) -> Tensor:
         return (z,)
 
     return _record(out, (a,), grad_fn)
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of ``table`` selected by integer ids, with scatter-add backward."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding_lookup: ids must be 1-D, got {ids.shape}")
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(
-            f"embedding_lookup: id out of range for table with {table.shape[0]} rows"
-        )
-    out = table.data[ids]
-    vshape = table.shape
-
-    def grad_fn(g):
-        z = np.zeros(vshape)
-        np.add.at(z, ids, g)
-        return (z,)
-
-    return _record(out, (table,), grad_fn)
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .datagen import (
+    DataError,
+    ImageRecord,
     MockOracle,
     dataset_stats,
     generate_pipeline,
@@ -30,8 +33,6 @@ from .datagen import (
     training_ready,
 )
 from .decoders import (
-    BBox,
-    MaskLogits,
     bbox_decode,
     dense_features,
     init_bbox_params,
@@ -58,6 +59,7 @@ from .mllm import (
 from .trainer import (
     REFERRING_TEMPLATES,
     CheckpointError,
+    Model,
     NonFiniteTrainingError,
     TrainConfig,
     TrainSample,
@@ -114,6 +116,31 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _read_split(path: Path) -> list[ImageRecord]:
+    """The records of a split file; a DataError names the file if it is malformed or empty."""
+    records = read_jsonl(path)
+    if not records:
+        raise DataError(f"empty split {path}")
+    return records
+
+
+def _read_model(path) -> Model:
+    """The model a checkpoint file holds; a CheckpointError names the file."""
+    try:
+        return restore_model(load_checkpoint(path))[0]
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+
+
+@contextmanager
+def _naming(split: Path):
+    """Re-raise data the model cannot take as the same error, naming the split it came from."""
+    try:
+        yield
+    except MODEL_DATA_ERRORS as exc:
+        raise type(exc)(f"split {split}: {exc}") from exc
+
+
 def _write_all_or_nothing(writes: list[tuple[Path, bytes]]) -> None:
     """Stage every artifact, then rename into place; cleans up on failure."""
     staged = []
@@ -143,11 +170,7 @@ def cmd_datagen(args) -> int:
     if args.num_samples <= 0:
         return _fail(EXIT_USAGE, "--num-samples must be positive")
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(EXIT_DATA, f"cannot create output directory: {exc}")
-
+    out.mkdir(parents=True, exist_ok=True)
     records = synth_records(args.num_samples, args.seed)
     oracle = MockOracle(seed=args.seed)
     records = generate_pipeline(records, oracle)
@@ -163,10 +186,7 @@ def cmd_datagen(args) -> int:
         (out / "test.jsonl", _jsonl_bytes(test)),
         (out / "stats.json", (json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()),
     ]
-    try:
-        _write_all_or_nothing(writes)
-    except OSError as exc:
-        return _fail(EXIT_DATA, f"cannot write dataset: {exc}")
+    _write_all_or_nothing(writes)
     print(f"wrote {len(train)}/{len(val)}/{len(test)} records under {out}")
     return EXIT_OK
 
@@ -179,13 +199,14 @@ def cmd_train(args) -> int:
     if args.preset:
         merged.update(PRESETS[args.preset])
     if args.config:
-        try:
-            with open(args.config) as fh:
-                merged.update(json.load(fh))
-        except OSError as exc:
-            return _fail(EXIT_DATA, f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            return _fail(EXIT_USAGE, f"config is not valid JSON: {exc}")
+        with open(args.config) as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                return _fail(EXIT_USAGE, f"config {args.config} is not valid JSON: {exc}")
+        if not isinstance(overrides, dict):
+            return _fail(EXIT_USAGE, f"config {args.config} must be a JSON object")
+        merged.update(overrides)
     if args.mode:
         merged["mode"] = args.mode
     try:
@@ -197,36 +218,22 @@ def cmd_train(args) -> int:
         return _fail(EXIT_USAGE, "finetune mode requires --init with an end2end checkpoint")
 
     data_file = Path(args.data) / "train.jsonl"
-    if not data_file.exists():
-        return _fail(EXIT_DATA, f"missing training split {data_file}")
-    records = read_jsonl(data_file)
-    if not records:
-        return _fail(EXIT_DATA, f"empty training split {data_file}")
-    try:
+    records = _read_split(data_file)
+    with _naming(data_file):
         one_image_shape(records)  # a training batch runs as one (B, H, W) stack
-    except ShapeError as exc:
-        return _fail(EXIT_DATA, f"training split {data_file}: {exc}")
-
-    referring = records
     reasoning = training_ready(records)
     if cfg.mix_ratio[1] > 0 and not reasoning:
-        return _fail(EXIT_DATA, "mix requests reasoning samples but no record carries QA pairs")
-    if not reasoning:
-        reasoning = referring  # ratio 0: never drawn, sampler still needs a pool
+        raise DataError(f"split {data_file}: the mix asks for reasoning samples but no record carries QA pairs")
 
     if args.init:
-        try:
-            ckpt = load_checkpoint(args.init)
-        except (OSError, CheckpointError) as exc:
-            return _fail(EXIT_DATA, f"cannot load --init checkpoint: {exc}")
+        model = _read_model(args.init)
         for field in ARCH_FIELDS:
-            have = getattr(ckpt.config, field)
+            have = getattr(model.cfg, field)
             want = getattr(cfg, field)
             if have != want:
                 return _fail(EXIT_USAGE, f"--init architecture mismatch on {field}: {have} != {want}")
-        if ckpt.config.fusion.n != cfg.fusion.n:
+        if model.cfg.fusion.n != cfg.fusion.n:
             return _fail(EXIT_USAGE, "--init architecture mismatch on fusion.n")
-        model, _ = restore_model(ckpt)
         model = replace(model, cfg=cfg)  # weights warm-started, schedule fresh
     else:
         model = init_model(cfg)
@@ -235,17 +242,12 @@ def cmd_train(args) -> int:
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
     print(f"blas: {blas['name']} {blas['version']}; {threads}")  # results are bitwise only for one BLAS setup
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
-    with open(log_path, "w") as log_file:
+    with open(log_path, "w") as log_file, _naming(data_file):
 
         def log_fn(scalars):
             log_file.write(json.dumps(scalars, sort_keys=True) + "\n")
 
-        try:
-            opt, _ = run_training(model, referring, reasoning, cfg, log_fn=log_fn)
-        except NonFiniteTrainingError as exc:
-            return _fail(EXIT_NUMERIC, f"training diverged at {exc}")
-        except MODEL_DATA_ERRORS as exc:
-            return _fail(EXIT_DATA, f"training split {data_file}: {exc}")
+        opt, _ = run_training(model, records, reasoning, cfg, log_fn=log_fn)
     save_checkpoint(args.out, model, opt, iteration=cfg.total_iters)
     print(f"wrote {args.out} and {log_path}")
     return EXIT_OK
@@ -267,51 +269,21 @@ def sample_to_json(s: EvalSample) -> dict:
     }
 
 
-def sample_from_json(obj: dict) -> EvalSample:
-    H, W = obj["shape"]
-
-    def unpack(hexstr):
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
-        return bits[: H * W].reshape(H, W).astype(bool)
-
-    return EvalSample(
-        pred_mask=unpack(obj["pred_mask"]),
-        gt_mask=unpack(obj["gt_mask"]),
-        pred_box=BBox(*obj["pred_box"]) if obj["pred_box"] is not None else None,
-        gt_box=BBox(*obj["gt_box"]),
-        category=obj["category"],
-    )
-
-
 def cmd_eval(args) -> int:
     data_file = Path(args.data) / f"{args.split}.jsonl"
-    if not data_file.exists():
-        return _fail(EXIT_DATA, f"missing split {data_file}")
-    records = read_jsonl(data_file)
-    if not records:
-        return _fail(EXIT_DATA, f"empty split {data_file}")
-    try:
-        ckpt = load_checkpoint(args.ckpt)
-    except (OSError, CheckpointError) as exc:
-        return _fail(EXIT_DATA, f"cannot load checkpoint: {exc}")
-    model, _ = restore_model(ckpt)
-
-    try:
+    records = _read_split(data_file)
+    model = _read_model(args.ckpt)
+    with _naming(data_file):
         report, samples = evaluate_model(model, records, oracle_mode=args.oracle_mode)
-    except MODEL_DATA_ERRORS as exc:
-        return _fail(EXIT_DATA, f"split {data_file}: {exc}")
     report_path = Path(args.report)
     dump_path = Path(args.dump) if args.dump else Path(str(args.report) + ".samples.jsonl")
     dump_payload = "".join(json.dumps(sample_to_json(s), sort_keys=True) + "\n" for s in samples)
-    try:
-        _write_all_or_nothing(
-            [
-                (report_path, (report.to_text() + "\n").encode()),
-                (dump_path, dump_payload.encode()),
-            ]
-        )
-    except OSError as exc:
-        return _fail(EXIT_DATA, f"cannot write report: {exc}")
+    _write_all_or_nothing(
+        [
+            (report_path, (report.to_text() + "\n").encode()),
+            (dump_path, dump_payload.encode()),
+        ]
+    )
     print(report.to_text())
     return EXIT_OK
 
@@ -342,8 +314,8 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mlogits = Tensor(rng.normal(size=(2, 6, 7)), requires_grad=True)
     gt_mask = rng.uniform(size=(2, 6, 7)) > 0.6
     gt_mask[:, 2, 3] = True  # keep each foreground nonempty
-    results["loss.bce"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[0], [mlogits])
-    results["loss.dice"] = check(lambda: mask_loss(MaskLogits(mlogits), gt_mask, w)[1], [mlogits])
+    results["loss.bce"] = check(lambda: mask_loss(mlogits, gt_mask, w)[0], [mlogits])
+    results["loss.dice"] = check(lambda: mask_loss(mlogits, gt_mask, w)[1], [mlogits])
 
     # losses: box L1 and GIoU through a batch of two live corner rows
     corners = Tensor([[0.15, 0.25, 0.70, 0.85], [0.05, 0.40, 0.50, 0.60]], requires_grad=True)
@@ -398,8 +370,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
 
     def mask_scalar():
         feats = dense_features(images, 4, projection)
-        out = mask_decode(feats, h_seg, mcorners, mparams, (16, 16))
-        return (out.grid * mask_mix).sum()
+        return (mask_decode(feats, h_seg, mcorners, mparams, (16, 16)) * mask_mix).sum()
 
     mask_tensors = [projection, h_seg, mcorners, *mparams.named().values()]
     results["decoder.mask"] = check(mask_scalar, mask_tensors)
@@ -434,7 +405,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
         patches = encode_image_patches(lm_image, lm_cfg.patch_size, lm.patch_proj)
         seqs = [build_sequence(patches, prompt_ids, gen_ids, vocab), build_sequence(*text_only, vocab)]
         rows, loss_of = answer_ce_loss(seqs, lm.out_proj)
-        return loss_of(forward_packed(seqs, lm, rows=rows)[0], rows)
+        return loss_of(forward_packed(seqs, lm, rows=rows), rows)
 
     results["mllm.packed"] = check(packed_scalar, lm_tensors, max_coords=24)
 
@@ -517,7 +488,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2, which here means a data error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    return args.func(args)
+    try:  # the exit code of each error a command lets through
+        return args.func(args)
+    except NonFiniteTrainingError as exc:
+        return _fail(EXIT_NUMERIC, f"training diverged at {exc}")
+    except (OSError, DataError, CheckpointError, *MODEL_DATA_ERRORS) as exc:  # a file, or data, it cannot use
+        return _fail(EXIT_DATA, str(exc))
 
 
 if __name__ == "__main__":

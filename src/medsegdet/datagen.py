@@ -101,10 +101,9 @@ class MockOracle:
     verdict per description; None (the default) keeps every one.
     """
 
-    def __init__(self, seed: int = 0, policy=None, n_candidates: int = 2):
+    def __init__(self, seed: int = 0, policy=None):
         self.seed = seed
         self.policy = policy
-        self.n_candidates = n_candidates
 
     def caption(self, record: ImageRecord) -> str:
         pos = _position_phrase(record.box)
@@ -154,7 +153,7 @@ class MockOracle:
             question = f"Identify and segment {description.text}."
         else:
             question = f"Segment {description.text}."
-        suffix = candidate_placeholders(self.n_candidates)
+        suffix = candidate_placeholders()
         if description.length == "long":
             lead = "The structure in question" if variant else "The highlighted region"
             answer = f"{lead} is the {label}. {suffix}"
@@ -218,15 +217,15 @@ def synth_records(count: int, seed: int, hw: tuple[int, int] = (64, 64)) -> list
 
 # -- QA pipeline -----------------------------------------------------------------
 
-def _check_pair(pair: QAPair, label: str, n_candidates: int) -> None:
+def _check_pair(pair: QAPair, label: str) -> None:
     if label not in pair.answer:
         raise OracleError(f"answer lacks the label {label!r}: {pair.answer!r}")
-    for k in range(1, n_candidates + 1):
-        if pair.answer.count(f"<c{k}>") != 1:
-            raise OracleError(f"answer must contain <c{k}> exactly once: {pair.answer!r}")
+    for token in candidate_placeholders().split():
+        if pair.answer.count(token) != 1:
+            raise OracleError(f"answer must contain {token} exactly once: {pair.answer!r}")
 
 
-def _pairs_for_record(record: ImageRecord, oracle: MockOracle, n_candidates: int) -> list[QAPair]:
+def _pairs_for_record(record: ImageRecord, oracle: MockOracle) -> list[QAPair]:
     caption = oracle.caption(record)
     info = {"label": record.label, "box": record.box, "modality": record.modality}
     pairs = []
@@ -245,7 +244,7 @@ def _pairs_for_record(record: ImageRecord, oracle: MockOracle, n_candidates: int
             elif verdict.action != "keep":
                 raise OracleError(f"unknown verdict action {verdict.action!r}")
             pair = oracle.transform(desc, record.label)
-            _check_pair(pair, record.label, n_candidates)
+            _check_pair(pair, record.label)
             pairs.append(pair)
     return pairs
 
@@ -253,7 +252,6 @@ def _pairs_for_record(record: ImageRecord, oracle: MockOracle, n_candidates: int
 def generate_pipeline(
     records: list[ImageRecord],
     oracle: MockOracle,
-    n_candidates: int = 2,
     threads: int = 1,
 ) -> list[ImageRecord]:
     """Attach QA pairs to every record; failing records are skipped with a log line.
@@ -268,7 +266,7 @@ def generate_pipeline(
     kept = []
     for record in records:
         try:
-            kept.append(replace(record, qa=_pairs_for_record(record, oracle, n_candidates)))
+            kept.append(replace(record, qa=_pairs_for_record(record, oracle)))
         except OracleError as exc:
             log.warning("skipping record %s: %s", record.id, exc)
     return sorted(kept, key=lambda r: r.id)
@@ -376,14 +374,15 @@ def record_from_json(obj: dict) -> ImageRecord:
 
 
 def read_jsonl(path) -> list[ImageRecord]:
+    """Every record of a JSONL file; a DataError names the file and the line at fault."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            records.append(record_from_json(obj))
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(record_from_json(json.loads(line)))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+        except (json.JSONDecodeError, DataError) as exc:  # not JSON, or not a record
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
     return records

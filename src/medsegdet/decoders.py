@@ -4,9 +4,10 @@ A small MLP turns each detection embedding into a normalized box, a row
 of a (B, 4) corner tensor; a prompt-conditioned linear head turns dense
 visual features (B, Hf, Wf, d), the segmentation embeddings and a
 differentiable soft rasterization of the boxes into (B, H, W) mask
-logits. The features are a plain Tensor from a frozen patchwise
-projection, the vision-backbone stand-in. Also hosts the patch-token
-similarity maps (B, P) used by the fine-tuning objective.
+logits, a plain Tensor that is positive where a mask is predicted. The
+features are a plain Tensor from a frozen patchwise projection, the
+vision-backbone stand-in. Also hosts the patch-token similarity maps
+(B, P) used by the fine-tuning objective.
 """
 
 from __future__ import annotations
@@ -46,17 +47,6 @@ class BBox:
         if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0):
             raise ValueError(f"invalid box {(x1, y1, x2, y2)}")
         return self
-
-
-@dataclass
-class MaskLogits:
-    """B × H × W mask logits."""
-
-    grid: Tensor
-
-    def binary(self) -> np.ndarray:
-        """Predicted masks: positive logits."""
-        return self.grid.data > 0
 
 
 @dataclass
@@ -166,8 +156,8 @@ def mask_decode(
     out_hw: tuple[int, int],
     sharpness: float = DEFAULT_SHARPNESS,
     use_box: bool = True,
-) -> MaskLogits:
-    """Per-cell logit ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.
+) -> Tensor:
+    """(B, H, W) mask logits: per cell ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.
 
     ``f`` holds the (B, Hf, Wf, d) feature grids of ``dense_features``.
 
@@ -189,7 +179,7 @@ def mask_decode(
         logits_lr = dots + params.gamma * soft_box_raster(boxes, Hf, Wf, sharpness) + params.b
     else:
         logits_lr = dots + params.b
-    return MaskLogits(grid=ad.bilinear_upsample(logits_lr, out_hw))
+    return ad.bilinear_upsample(logits_lr, out_hw)
 
 
 def similarity_map(h_img: Tensor, h_seg: Tensor) -> Tensor:

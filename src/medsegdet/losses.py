@@ -4,8 +4,8 @@ Text cross-entropy, mask losses (BCE + Dice), box losses (L1 + GIoU),
 and the similarity losses (JS + MSE) used when fine-tuning against a
 detached reference pass, plus the two compositions: the end-to-end
 total txt + mask + bbox and the fine-tune total that adds sim. The mask,
-box and similarity losses take a whole batch, (B, …) tensors, and
-return batch means.
+box and similarity losses take a whole batch as plain Tensors, (B, H, W)
+mask logits, (B, 4) corners or (B, P) maps, and return batch means.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .decoders import MaskLogits
 
 DICE_EPS = 1e-6
 _LOG_FLOOR = 1e-300
@@ -89,16 +88,15 @@ def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
     return (nll * weights).sum() / float(count)
 
 
-def mask_loss(pred: MaskLogits, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
-    """(bce, dice, mask) over (B, H, W) logits and targets, mask = w.bce*bce + w.dice*dice.
+def mask_loss(z: Tensor, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
+    """(bce, dice, mask) over (B, H, W) logits ``z`` and targets, mask = w.bce*bce + w.dice*dice.
 
     BCE is the mean over every pixel of the batch; Dice is taken per
     sample and then averaged.
     """
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.grid.shape != gt.shape or gt.ndim != 3:
-        raise ShapeError(f"mask_loss: pred {pred.grid.shape} vs gt {gt.shape} (need equal (B, H, W))")
-    z = pred.grid
+    if z.shape != gt.shape or gt.ndim != 3:
+        raise ShapeError(f"mask_loss: pred {z.shape} vs gt {gt.shape} (need equal (B, H, W))")
     # BCE(sigmoid(z), y) = softplus(z) - z*y, stable for any logit magnitude
     bce = (ad.softplus(z) - z * gt).mean()
     p = ad.sigmoid(z)

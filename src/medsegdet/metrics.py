@@ -152,7 +152,7 @@ def mask2box(mask) -> BBox:
     )
 
 
-def evaluate_samples(samples: list[EvalSample], acc_threshold: float = 0.5) -> MetricReport:
+def evaluate_samples(samples: list[EvalSample]) -> MetricReport:
     """Full report over a sample set, with a per-category breakdown."""
 
     def block(subset):
@@ -163,7 +163,7 @@ def evaluate_samples(samples: list[EvalSample], acc_threshold: float = 0.5) -> M
             "giou": 100.0 * giou,
             "ciou": 100.0 * ciou,
             "box_iou": 100.0 * mean_box,
-            "acc": detection_acc(subset, acc_threshold),
+            "acc": detection_acc(subset),
             "count": len(subset),
         }
 

@@ -269,14 +269,14 @@ class KVCache:
 
 def forward_packed(
     seqs: list[MultimodalSequence], params: ModelParams, cache: KVCache | None = None, rows=None
-) -> tuple[Tensor, list[int]]:
-    """Run the transformer over sequences packed row-wise; returns (hidden, offsets).
+) -> Tensor:
+    """Run the transformer over sequences packed row-wise; returns the hidden rows.
 
-    Sequence i owns packed rows ``offsets[i]:offsets[i + 1]``, aligned 1:1
+    The sequences' rows follow one another in order, each aligned 1:1
     with its positions (image patches, then tokens).  Nothing is padded:
     each layer sees the ΣSᵢ rows once, and the attention node keeps every
     sequence to its own rows, so a sequence's rows do not depend on the
-    others.  ``hidden`` holds every packed row, or just ``rows`` (packed
+    others.  The result holds every packed row, or just ``rows`` (packed
     indices, sorted and distinct; ShapeError otherwise): the last block
     still takes keys and values from every row, but runs its queries,
     ``wo``, the residual, LN2 and the FFN on those rows only.  With a ``cache`` (one sequence,
@@ -316,7 +316,7 @@ def forward_packed(
             patches.append(seq.patch_embeddings)
             patch_row += P
     table = ad.concat([params.tok_emb, *patches]) if patches else params.tok_emb
-    x = ad.embedding_lookup(table, ids) + ad.embedding_lookup(params.pos_emb, positions)
+    x = table[ids] + params.pos_emb[positions]
     offsets = np.cumsum([0] + [P + T for P, T, _ in segments])
     queries = None
     if rows is not None:
@@ -338,7 +338,7 @@ def forward_packed(
         x = x + h @ blk.w2 + blk.b2
     if cache is not None:
         cache.rows = n + int(offsets[-1])
-    return x, offsets.tolist()
+    return x
 
 
 def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None = None) -> tuple[Tensor, Tensor]:
@@ -348,7 +348,7 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
     there).  Hidden rows align 1:1 with input positions; logits cover text
     positions only.
     """
-    hidden, _ = forward_packed([seq], params, cache)
+    hidden = forward_packed([seq], params, cache)
     P = seq.num_patches
     logits = hidden[P : P + len(seq.token_ids)] @ params.out_proj.T
     return hidden, logits

@@ -30,7 +30,6 @@ from .decoders import (
     BBox,
     BBoxParams,
     MaskDecoderParams,
-    MaskLogits,
     bbox_decode,
     dense_features,
     init_bbox_params,
@@ -201,12 +200,12 @@ def default_answer(label: str, n_candidates: int) -> str:
 
 
 def mixed_sampler(referring_pool, reasoning_pool, ratio=(7, 3), seed=0, n_candidates=2):
-    """Endless TrainSample stream; referring drawn with probability r/(r+s)."""
-    if not referring_pool or not reasoning_pool:
-        raise ValueError("mixed_sampler: both pools must be nonempty")
+    """Endless TrainSample stream; referring drawn with probability r/(r+s); a pool of share 0 may be empty."""
     r, s = ratio
     if r < 0 or s < 0 or r + s <= 0:
         raise ValueError(f"bad mix ratio {ratio}")
+    if (r > 0 and not referring_pool) or (s > 0 and not reasoning_pool):
+        raise ValueError("mixed_sampler: a pool with a positive share is empty")
     return _sample_stream(referring_pool, reasoning_pool, r / (r + s), seed, n_candidates)
 
 
@@ -332,12 +331,12 @@ def one_image_shape(records: list[ImageRecord]) -> tuple[int, int]:
     return shape
 
 
-def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[FusionOutput, Tensor, MaskLogits]:
+def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[FusionOutput, Tensor, Tensor]:
     """Fusion, the box head and the mask head, once over a batch of B samples.
 
     ``images`` is the (B, H, W) stack the mask logits are sized to.
-    Returns the fused embeddings, the (B, 4) box corners and the mask
-    logits; training and evaluation both decode through here.
+    Returns the fused embeddings, the (B, 4) box corners and the
+    (B, H, W) mask logits; training and evaluation both decode through here.
     """
     cfg = model.cfg
     fused = fuse_candidates(bundle, model.router, cfg.fusion)
@@ -368,7 +367,7 @@ def reference_maps(model: Model, batch: list[TrainSample], memo: dict | None = N
             if key not in memo:
                 seqs = [_teacher_forced(model, s, s.x_hat_txt)]
                 rows, bundle_of = candidate_bundles(seqs, model.vocab, image=True)
-                bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
+                bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows), rows)
                 fused = fuse_candidates(bundle, model.router, model.cfg.fusion)
                 memo[key] = similarity_map(bundle.h_img, fused.h_seg).data[0]
     return Tensor(np.stack([memo[key] for key in keys]))
@@ -386,7 +385,7 @@ def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None 
     txt_rows, txt_of = answer_ce_loss(seqs, model.lm.out_proj)
     cand_rows, bundle_of = candidate_bundles(seqs, model.vocab, image=sim_ref is not None)
     held = np.union1d(txt_rows, cand_rows)  # candidate rows also predict answer tokens
-    hidden, _ = forward_packed(seqs, model.lm, rows=held)
+    hidden = forward_packed(seqs, model.lm, rows=held)
     bundle = bundle_of(hidden, held)
     images = np.stack([s.record.image for s in batch])
     fused, box, mlogits = _heads(model, bundle, images)
@@ -432,13 +431,7 @@ def train_step(
 
 
 def run_training(
-    model: Model,
-    referring_pool,
-    reasoning_pool,
-    cfg: TrainConfig,
-    opt: OptState | None = None,
-    start_iter: int = 0,
-    log_fn=None,
+    model: Model, referring_pool, reasoning_pool, cfg: TrainConfig, opt: OptState | None = None, log_fn=None
 ) -> tuple[OptState, list[dict]]:
     """Drive total_iters steps; returns the optimizer state and scalar history."""
     opt = opt if opt is not None else init_opt_state(model.trainable())
@@ -447,7 +440,7 @@ def run_training(
         n_candidates=cfg.fusion.n,
     )
     history = []
-    for it in range(start_iter, cfg.total_iters):
+    for it in range(cfg.total_iters):
         batch = [next(sampler) for _ in range(cfg.batch_size)]
         report = train_step(model, batch, it, cfg, opt)
         scalars = {"iter": it, **report.scalars()}
@@ -483,14 +476,11 @@ def _predict(model: Model, record: ImageRecord):
             log.warning("record %s scores zero: asked %r, %s", record.id, question, exc)
             return np.zeros_like(record.mask, dtype=bool), None
         _, box, mlogits = _heads(model, bundle_of(hidden), record.image[None])
-    return mlogits.binary()[0], BBox(*box.data[0])
+    return mlogits.data[0] > 0, BBox(*box.data[0])
 
 
 def evaluate_model(
-    model: Model,
-    records: list[ImageRecord],
-    acc_threshold: float = 0.5,
-    oracle_mode: bool = False,
+    model: Model, records: list[ImageRecord], oracle_mode: bool = False
 ) -> tuple[MetricReport, list[EvalSample]]:
     """Greedy-decode every record and score it; oracle_mode scores gt against itself."""
     if not records:
@@ -510,7 +500,7 @@ def evaluate_model(
                 category=record.label,
             )
         )
-    return evaluate_samples(samples, acc_threshold), samples
+    return evaluate_samples(samples), samples
 
 
 # -- checkpointing ---------------------------------------------------------------------
@@ -591,8 +581,11 @@ def load_checkpoint(path) -> Checkpoint:
     for key in (_ITER_KEY, _STEP_KEY, _CONFIG_KEY):
         if key not in tensors:
             raise CheckpointError(f"checkpoint lacks required entry {key}")
-    cfg_json = tensors[_CONFIG_KEY].astype(np.uint8).tobytes().decode("utf-8")
-    config = TrainConfig.from_dict(json.loads(cfg_json))
+    try:
+        cfg_json = tensors[_CONFIG_KEY].astype(np.uint8).tobytes().decode("utf-8")
+        config = TrainConfig.from_dict(json.loads(cfg_json))
+    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not a config
+        raise CheckpointError(f"bad config entry: {exc}") from exc
     return Checkpoint(
         tensors=tensors,
         iteration=int(tensors[_ITER_KEY].reshape(-1)[0]),

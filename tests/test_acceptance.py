@@ -23,7 +23,7 @@ from medsegdet.datagen import (
     split_dataset,
     synth_records,
 )
-from medsegdet.decoders import BBox, MaskLogits
+from medsegdet.decoders import BBox
 from medsegdet.fusion import (
     CandidateBundle,
     FusionConfig,
@@ -125,7 +125,7 @@ def test_criterion_2_loss_identities():
     gt = rng.uniform(size=(9, 9)) > 0.5
     gt[4, 4] = True
     perfect = np.where(gt, 40.0, -40.0)
-    dice_at_perfect = float(mask_loss(MaskLogits(Tensor(perfect[None])), gt[None], w)[1].data)
+    dice_at_perfect = float(mask_loss(Tensor(perfect[None]), gt[None], w)[1].data)
 
     box = [0.2, 0.3, 0.7, 0.9]
     giou_at_perfect = float(bbox_loss(Tensor([box]), [box], w)[1].data)
@@ -351,7 +351,7 @@ def _batch_mask_loss(model, batch, use_box):
         a_ids = encode_text(sample.answer, model.vocab) + [EOS_ID]
         seqs.append(build_sequence(patches, q_ids, a_ids, model.vocab))
     rows, bundle_of = candidate_bundles(seqs, model.vocab)
-    bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows)[0], rows)
+    bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows), rows)
     _, _, mlogits = _heads(model, bundle, np.stack([s.record.image for s in batch]))
     return mask_loss(mlogits, np.stack([s.record.mask for s in batch]), cfg.weights)[2]
 

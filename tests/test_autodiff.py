@@ -299,10 +299,10 @@ def test_no_grad_suppresses_recording():
     assert len(tape.nodes) == 0
 
 
-def test_embedding_lookup_gradient_accumulates_repeats():
+def test_row_gather_gradient_accumulates_repeats():
     reset_tape()
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = ad.embedding_lookup(table, [0, 2, 0])
+    out = table[[0, 2, 0]]
     loss = out.sum()
     backward(loss)
     assert np.array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])

@@ -9,9 +9,10 @@ import pytest
 
 from medsegdet import autodiff as ad
 from medsegdet import trainer
-from medsegdet.cli import _jsonl_bytes, gradcheck_suite, main, sample_from_json
+from medsegdet.cli import _jsonl_bytes, gradcheck_suite, main
 from medsegdet.datagen import read_jsonl, synth_records
-from medsegdet.metrics import evaluate_samples
+from medsegdet.decoders import BBox
+from medsegdet.metrics import EvalSample, evaluate_samples
 from medsegdet.trainer import load_checkpoint
 
 TINY = {
@@ -51,6 +52,28 @@ def train_tiny(tmp_path, data, **overrides):
     ckpt = tmp_path / "run.ckpt"
     assert run("train", "--data", data, "--config", cfg, "--out", ckpt) == 0
     return ckpt
+
+
+def untrained_checkpoint(tmp_path, monkeypatch, drop=None, config_json=None):
+    """A TINY checkpoint written without the entry ``drop``, or with ``config_json`` as its config."""
+    model = trainer.init_model(trainer.TrainConfig.from_dict(TINY))
+    opt = trainer.init_opt_state(model.trainable())
+    path = tmp_path / "broken.ckpt"
+    with monkeypatch.context() as m:
+        if drop is not None:
+            named = trainer.Model.named
+            m.setattr(trainer.Model, "named", lambda self: {k: v for k, v in named(self).items() if k != drop})
+        if config_json is not None:
+            m.setattr(trainer.json, "dumps", lambda *args, **kwargs: config_json)
+        trainer.save_checkpoint(path, model, opt, iteration=0)
+    return path
+
+
+def one_error_line_naming(capsys, path) -> str:
+    """The one line a command wrote to stderr, after checking that it is an error naming ``path``."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+    return err[0]
 
 
 def write_split(tmp_path, records, split="train"):
@@ -234,6 +257,36 @@ def test_train_nonfinite_loss_is_numeric_error(tmp_path, capsys, monkeypatch):
     assert not ckpt.exists()
 
 
+def test_train_on_a_malformed_split_is_data_error(tmp_path, capsys):
+    data = write_split(tmp_path, synth_records(2, seed=3))
+    with open(data / "train.jsonl", "a") as fh:
+        fh.write("{not json\n")
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", data, "--config", write_config(tmp_path), "--out", out) == 2
+    one_error_line_naming(capsys, data / "train.jsonl:3")
+    assert not out.exists() and not (tmp_path / "x.ckpt.log").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '[["seed", 3]]'], ids=["numbers", "pairs"])
+def test_train_config_that_is_not_a_json_object_is_usage_error(tmp_path, capsys, text):
+    data = make_data(tmp_path)
+    cfg = tmp_path / "list.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", data, "--config", cfg, "--out", out) == 1
+    one_error_line_naming(capsys, cfg)
+    assert not out.exists()
+
+
+def test_train_init_from_a_checkpoint_without_a_tensor_is_data_error(tmp_path, capsys, monkeypatch):
+    data = make_data(tmp_path)
+    ckpt = untrained_checkpoint(tmp_path, monkeypatch, drop="bbox.w3")
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", data, "--config", write_config(tmp_path), "--init", ckpt, "--out", out) == 2
+    assert "lacks tensor bbox.w3" in one_error_line_naming(capsys, ckpt)
+    assert not out.exists()
+
+
 # -- eval ----------------------------------------------------------------------------
 
 
@@ -276,6 +329,30 @@ def test_eval_on_images_the_model_cannot_take_is_data_error(tmp_path, capsys, hw
     assert not report.exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
 
 
+def test_eval_on_a_split_that_is_not_utf8_is_data_error(tmp_path, capsys, monkeypatch):
+    data = write_split(tmp_path, synth_records(2, seed=3), split="val")
+    (data / "val.jsonl").write_bytes(b"\xff\xfe" + (data / "val.jsonl").read_bytes())
+    report = tmp_path / "report.txt"
+    assert run("eval", "--data", data, "--ckpt", untrained_checkpoint(tmp_path, monkeypatch), "--report", report) == 2
+    one_error_line_naming(capsys, data / "val.jsonl")
+    assert not report.exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
+
+
+@pytest.mark.parametrize("broken", [
+    {"drop": "bbox.w3"},
+    {"config_json": "{not json"},
+    {"config_json": '["lr_max"]'},
+    {"config_json": '{"lr_max": "fast"}'},
+], ids=["missing-tensor", "config-not-json", "config-a-list", "config-bad-value"])
+def test_eval_on_a_broken_checkpoint_is_data_error(tmp_path, capsys, monkeypatch, broken):
+    data = write_split(tmp_path, synth_records(2, seed=3), split="val")
+    ckpt = untrained_checkpoint(tmp_path, monkeypatch, **broken)
+    report = tmp_path / "report.txt"
+    assert run("eval", "--data", data, "--ckpt", ckpt, "--report", report) == 2
+    one_error_line_naming(capsys, ckpt)
+    assert not report.exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
+
+
 def test_eval_same_checkpoint_twice_is_byte_identical(tmp_path):
     data = make_data(tmp_path)
     ckpt = train_tiny(tmp_path, data)
@@ -285,6 +362,23 @@ def test_eval_same_checkpoint_twice_is_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
     assert (tmp_path / "r1.txt.samples.jsonl").read_bytes() == \
         (tmp_path / "r2.txt.samples.jsonl").read_bytes()
+
+
+def sample_from_json(obj: dict) -> EvalSample:
+    """Read back one line of the eval dump that ``cli.sample_to_json`` writes."""
+    H, W = obj["shape"]
+
+    def unpack(hexstr):
+        bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
+        return bits[: H * W].reshape(H, W).astype(bool)
+
+    return EvalSample(
+        pred_mask=unpack(obj["pred_mask"]),
+        gt_mask=unpack(obj["gt_mask"]),
+        pred_box=BBox(*obj["pred_box"]) if obj["pred_box"] is not None else None,
+        gt_box=BBox(*obj["gt_box"]),
+        category=obj["category"],
+    )
 
 
 def test_eval_report_matches_recount_of_sample_dump(tmp_path):

@@ -149,7 +149,7 @@ def test_mask_decode_null_prompt_constant_bias():
         b=Tensor(0.7, requires_grad=True),
     )
     out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.2, 0.2, 0.8, 0.8), params, (8, 8))
-    np.testing.assert_allclose(out.grid.data, np.full((1, 8, 8), 0.7), atol=1e-12)
+    np.testing.assert_allclose(out.data, np.full((1, 8, 8), 0.7), atol=1e-12)
 
 
 def test_mask_decode_box_dominated_limit_matches_box_interior():
@@ -158,7 +158,7 @@ def test_mask_decode_box_dominated_limit_matches_box_interior():
         w_p=Tensor(np.zeros((6, 5))), gamma=Tensor(20.0), b=Tensor(-10.0)
     )
     out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.25, 0.25, 0.75, 0.75), params, (32, 32))
-    pred = out.binary()[0]
+    pred = out.data[0] > 0
     ys = (np.arange(32) + 0.5) / 32
     inside = (ys >= 0.25) & (ys <= 0.75)
     expected = inside[:, None] & inside[None, :]
@@ -177,7 +177,7 @@ def test_mask_gradient_reaches_bbox_parameters():
     h_seg = Tensor(rng.normal(size=(1, 6)))
     box = bbox_decode(h_det, bparams)
     out = mask_decode(f, h_seg, box, mparams, (8, 8))
-    ad.backward(out.grid.sum())
+    ad.backward(out.sum())
     assert np.any(bparams.w3.grad != 0)
     assert np.any(bparams.b3.grad != 0)
     assert np.any(mparams.w_p.grad == mparams.w_p.grad)  # finite layout intact
@@ -196,7 +196,7 @@ def test_mask_decode_linear_in_features_when_box_channel_off():
     a, b = 1.7, -0.4
 
     def run(grid):
-        return mask_decode(Tensor(grid), h_seg, box, params, (8, 8)).grid.data
+        return mask_decode(Tensor(grid), h_seg, box, params, (8, 8)).data
 
     np.testing.assert_allclose(
         run(a * F1 + b * F2), a * run(F1) + b * run(F2), atol=1e-10
@@ -214,7 +214,7 @@ def test_mask_decode_rows_equal_each_sample_decoded_alone():
             Tensor(grids[i : i + 1]), Tensor(prompts[i : i + 1]),
             Tensor(corners[i : i + 1]), params, (8, 8),
         )
-        np.testing.assert_allclose(batch.grid.data[i], alone.grid.data[0], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(batch.data[i], alone.data[0], rtol=1e-13, atol=1e-13)
 
 
 def test_mask_decode_dimension_mismatches_rejected():
@@ -241,7 +241,7 @@ def test_mask_decode_gradcheck():
 
     def loss():
         out = mask_decode(f, h_seg, coords, params, (6, 6))
-        return (out.grid * weights).sum()
+        return (out * weights).sum()
 
     leaves = [h_seg, params.w_p, params.gamma, params.b, coords]
     assert ad.finite_difference_check(loss, leaves, max_coords_per_param=8) < 1e-4

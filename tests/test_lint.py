@@ -1,4 +1,5 @@
-"""Stdlib lint: every name a package module imports is read somewhere in it."""
+"""Stdlib lint: every name a package module imports is read somewhere in it,
+and every module-level private name is read by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,44 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level ``_name`` that no module in ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{n}" for n in names if n.startswith("_") and not n.startswith("__") and n not in read]
+    return sorted(unread)
+
+
+def test_unread_private_names_names_each_unread_definition():
+    sources = {
+        "a": "_KEPT = 1\n_DROPPED, _ALSO = 2, 3\n__all__ = []\ndef _f():\n    return _KEPT\nclass _C:\n    pass\n",
+        "b": "from .a import _C\nimport a\na._ALSO\n",
+    }
+    assert unread_private_names(sources) == ["a._DROPPED", "a._f"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []
 
 
 def test_unused_imports_names_each_unread_import():

@@ -5,7 +5,7 @@ import pytest
 
 import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
-from medsegdet.decoders import BBox, MaskLogits
+from medsegdet.decoders import BBox
 from medsegdet.losses import (
     LossWeights,
     bbox_loss,
@@ -144,7 +144,7 @@ def hard_logits(mask, mag=40.0):
 def test_mask_loss_perfect_prediction():
     gt = np.zeros((6, 6))
     gt[1:4, 2:5] = 1
-    bce, dice, total = mask_loss(MaskLogits(hard_logits(gt)), one(gt), W)
+    bce, dice, total = mask_loss(hard_logits(gt), one(gt), W)
     assert float(bce.data) < 1e-12
     assert float(dice.data) < 1e-6
     assert float(total.data) < 1e-5
@@ -152,7 +152,7 @@ def test_mask_loss_perfect_prediction():
 
 def test_mask_loss_empty_gt_strong_negative_pred():
     gt = np.zeros((8, 8))
-    bce, dice, total = mask_loss(MaskLogits(Tensor(np.full((1, 8, 8), -40.0))), one(gt), W)
+    bce, dice, total = mask_loss(Tensor(np.full((1, 8, 8), -40.0)), one(gt), W)
     assert np.isfinite(float(dice.data))
     assert float(dice.data) < 1e-6
     assert float(bce.data) < 1e-12
@@ -163,7 +163,7 @@ def test_mask_loss_half_overlap_dice():
     pred[:, :2] = 1  # left half
     gt = np.zeros((4, 4))
     gt[:2, :] = 1  # top half
-    _, dice, _ = mask_loss(MaskLogits(hard_logits(pred)), one(gt), W)
+    _, dice, _ = mask_loss(hard_logits(pred), one(gt), W)
     assert float(dice.data) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -171,15 +171,15 @@ def test_mask_loss_weighted_composition_and_shapes():
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(2, 5, 5)))
     gt = (rng.uniform(size=(2, 5, 5)) > 0.5).astype(float)
-    bce, dice, total = mask_loss(MaskLogits(z), gt, W)
+    bce, dice, total = mask_loss(z, gt, W)
     assert float(total.data) == pytest.approx(
         2.0 * float(bce.data) + 0.5 * float(dice.data), abs=1e-12
     )
     assert float(bce.data) >= 0 and 0 <= float(dice.data) <= 1
     with pytest.raises(ShapeError):
-        mask_loss(MaskLogits(z), np.zeros((2, 4, 5)), W)
+        mask_loss(z, np.zeros((2, 4, 5)), W)
     with pytest.raises(ShapeError):
-        mask_loss(MaskLogits(Tensor(z.data[0])), gt[0], W)
+        mask_loss(Tensor(z.data[0]), gt[0], W)
 
 
 def test_mask_loss_gradcheck():
@@ -188,7 +188,7 @@ def test_mask_loss_gradcheck():
     z = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
     gt = (rng.uniform(size=(2, 4, 4)) > 0.4).astype(float)
     err = ad.finite_difference_check(
-        lambda: mask_loss(MaskLogits(z), gt, W)[2], [z], max_coords_per_param=32
+        lambda: mask_loss(z, gt, W)[2], [z], max_coords_per_param=32
     )
     assert err < 1e-4
 
@@ -370,7 +370,7 @@ def test_report_scalars_and_weighted_composition():
     rng = np.random.default_rng(11)
     z = Tensor(rng.normal(size=(1, 4, 4)))
     gt = (rng.uniform(size=(1, 4, 4)) > 0.5).astype(float)
-    bce, dice, mask_total = mask_loss(MaskLogits(z), gt, W)
+    bce, dice, mask_total = mask_loss(z, gt, W)
     l1, gl, bbox_total = bbox_loss(rows(rand_box(rng)), targets(rand_box(rng)), W)
     txt = Tensor(0.37)
     rep = compose_end(txt, mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=gl)
@@ -389,12 +389,12 @@ def test_batch_losses_are_means_of_single_sample_losses():
     gt_boxes = [rand_box(rng) for _ in range(B)]
     sp, sr = rng.normal(size=(B, 7)), rng.normal(size=(B, 7))
     batch = [
-        mask_loss(MaskLogits(Tensor(z)), gt, W),
+        mask_loss(Tensor(z), gt, W),
         bbox_loss(rows(*pred_boxes), targets(*gt_boxes), W),
         sim_loss(Tensor(sp), Tensor(sr), W),
     ]
     single = [
-        [mask_loss(MaskLogits(Tensor(z[i : i + 1])), gt[i : i + 1], W) for i in range(B)],
+        [mask_loss(Tensor(z[i : i + 1]), gt[i : i + 1], W) for i in range(B)],
         [bbox_loss(rows(pred_boxes[i]), targets(gt_boxes[i]), W) for i in range(B)],
         [sim_loss(Tensor(sp[i : i + 1]), Tensor(sr[i : i + 1]), W) for i in range(B)],
     ]

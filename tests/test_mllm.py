@@ -178,15 +178,16 @@ def test_packed_rows_equal_per_sample_forward_and_ignore_other_sequences(shapes,
         MultimodalSequence(rand_patches(P, 8, seed=seed + i), rng.integers(0, 18, T).tolist())
         for i, (P, T) in enumerate(shapes)
     ]
-    hidden, offsets = forward_packed(seqs, params)
-    assert offsets == np.cumsum([0] + [P + T for P, T in shapes]).tolist()
+    hidden = forward_packed(seqs, params)
+    offsets = np.cumsum([0] + [P + T for P, T in shapes]).tolist()
+    assert hidden.shape == (offsets[-1], 8)
     for seq, a, b in zip(seqs, offsets, offsets[1:]):
         np.testing.assert_allclose(hidden.data[a:b], forward(seq, params)[0].data, rtol=0, atol=1e-12)
 
     k = int(rng.choice([i for i, (_, T) in enumerate(shapes) if T]))
     changed = list(seqs)
     changed[k] = MultimodalSequence(seqs[k].patch_embeddings, [(t + 1) % 18 for t in seqs[k].token_ids])
-    hidden2, _ = forward_packed(changed, params)
+    hidden2 = forward_packed(changed, params)
     for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
         if i != k:
             assert hidden2.data[a:b].tobytes() == hidden.data[a:b].tobytes()
@@ -209,13 +210,14 @@ def test_forward_packed_rows_equal_the_full_pass_rows(shapes, data):
         MultimodalSequence(rand_patches(P, 8, seed=seed + i), rng.integers(0, 18, T).tolist())
         for i, (P, T) in enumerate(shapes)
     ]
-    full, offsets = forward_packed(seqs, params)
-    n = offsets[-1]
+    full = forward_packed(seqs, params)
+    n = sum(P + T for P, T in shapes)
+    assert full.shape == (n, 8)
     single = [data.draw(st.integers(0, n - 1), label="single row")]
     some = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="rows")
     for rows in (single, sorted(set(some))):
-        part, part_offsets = forward_packed(seqs, params, rows=rows)
-        assert part_offsets == offsets and part.shape == (len(rows), 8)
+        part = forward_packed(seqs, params, rows=rows)
+        assert part.shape == (len(rows), 8)
         np.testing.assert_allclose(part.data, full.data[rows], rtol=0, atol=1e-12)
     # the last block's queries go segment by segment, so a request comes sorted and distinct
     for rows in (single * 2, some):
@@ -426,7 +428,8 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
         build_sequence(rand_patches(2, 8, seed=24), [1, 2], [16, 3, 17], vocab),
         build_sequence(rand_patches(2, 8, seed=25), [4], [5, 17, 6, 16, EOS_ID], vocab),
     ]
-    hidden, offsets = forward_packed(seqs, params)
+    hidden = forward_packed(seqs, params)
+    offsets = np.cumsum([0] + [seq.num_patches + len(seq.token_ids) for seq in seqs])
     rows, bundle_of = candidate_bundles(seqs, vocab, image=True)
     assert rows.tolist() == [0, 1, 2 + 2, 2 + 4, offsets[1], offsets[1] + 1, offsets[1] + 2 + 2, offsets[1] + 2 + 4]
     bundle = bundle_of(hidden)
@@ -436,7 +439,7 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
         np.testing.assert_array_equal(bundle.candidates.data[i], extract(Tensor(own), seq, vocab).candidates.data[0])
         np.testing.assert_array_equal(bundle.h_img.data[i], own[:2])
     # from a pass that holds just the rows read: the same rows, and no image rows unless asked
-    part = bundle_of(forward_packed(seqs, params, rows=rows)[0], rows)
+    part = bundle_of(forward_packed(seqs, params, rows=rows), rows)
     np.testing.assert_allclose(part.candidates.data, bundle.candidates.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(part.h_img.data, bundle.h_img.data, rtol=0, atol=1e-12)
     cand_rows, cands_of = candidate_bundles(seqs, vocab)

@@ -202,6 +202,12 @@ def test_mixed_sampler_degenerate_ratios():
     assert all(next(all_ref).stream == "referring" for _ in range(200))
     all_rsn = mixed_sampler(records, records, ratio=(0, 1), seed=0)
     assert all(next(all_rsn).stream == "reasoning" for _ in range(200))
+    # a pool of share 0 is never drawn, so it may be empty; the draws do not change
+    for ratio, pools in (((1, 0), (records, [])), ((0, 1), ([], records))):
+        a, b = mixed_sampler(*pools, ratio=ratio, seed=3), mixed_sampler(records, records, ratio=ratio, seed=3)
+        for _ in range(200):
+            sa, sb = next(a), next(b)
+            assert (sa.record is sb.record, sa.question, sa.answer) == (True, sb.question, sb.answer)
 
 
 def test_mixed_sampler_rejects_empty_pool_and_bad_ratio():
