@@ -148,11 +148,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def node_id(self):
-        """Identifier on the active tape, or None if not recorded there."""
-        return self._node_id if self._epoch == _STATE.tape.epoch else None
-
     def item(self) -> float:
         return float(self.data)
 

@@ -274,7 +274,7 @@ def cmd_eval(args) -> int:
     records = _read_split(data_file)
     model = _read_model(args.ckpt)
     with _naming(data_file):
-        report, samples = evaluate_model(model, records, oracle_mode=args.oracle_mode)
+        report, samples = evaluate_model(model, records)
     report_path = Path(args.report)
     dump_path = Path(args.dump) if args.dump else Path(str(args.report) + ".samples.jsonl")
     dump_payload = "".join(json.dumps(sample_to_json(s), sort_keys=True) + "\n" for s in samples)
@@ -473,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", choices=["train", "val", "test"], default="val")
     e.add_argument("--report", required=True)
     e.add_argument("--dump", help="per-sample dump path (default: <report>.samples.jsonl)")
-    e.add_argument("--oracle-mode", action="store_true", help="score ground truth against itself")
     e.set_defaults(func=cmd_eval)
 
     g = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")

@@ -2,15 +2,14 @@
 
 Text cross-entropy, mask losses (BCE + Dice), box losses (L1 + GIoU),
 and the similarity losses (JS + MSE) used when fine-tuning against a
-detached reference pass, plus the two compositions: the end-to-end
-total txt + mask + bbox and the fine-tune total that adds sim. The mask,
-box and similarity losses take a whole batch as plain Tensors, (B, H, W)
-mask logits, (B, 4) corners or (B, P) maps, and return batch means.
+detached reference pass. The mask, box and similarity losses take a
+whole batch as plain Tensors, (B, H, W) mask logits, (B, 4) corners or
+(B, P) maps, and return batch means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +56,11 @@ class LossReport:
         }
 
 
-def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
-    """Mean negative log-likelihood of targets under row-wise softmax.
+def text_ce_loss(logits: Tensor, target_ids, weights) -> Tensor:
+    """Weighted mean negative log-likelihood of targets under row-wise softmax.
 
-    ``mask`` (optional, length T) weighs each position in a weighted mean,
-    so 0 drops a position; rejecting the all-masked case keeps the mean
-    defined.
+    ``weights`` (length T) weighs each position, so 0 drops a position;
+    rejecting the all-zero case keeps the mean defined.
     """
     target_ids = np.asarray(target_ids, dtype=np.intp)
     T, V = logits.shape
@@ -70,15 +68,12 @@ def text_ce_loss(logits: Tensor, target_ids, mask=None) -> Tensor:
         raise ShapeError(f"text_ce_loss: {T} logit rows vs targets {target_ids.shape}")
     if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= V):
         raise ValueError("text_ce_loss: target id out of vocabulary")
-    if mask is None:
-        weights = np.ones(T)
-    else:
-        weights = np.asarray(mask, dtype=np.float64)
-        if weights.shape != (T,):
-            raise ShapeError(f"text_ce_loss: mask shape {weights.shape} != ({T},)")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (T,):
+        raise ShapeError(f"text_ce_loss: weights shape {weights.shape} != ({T},)")
     count = weights.sum()
     if count == 0:
-        raise ValueError("text_ce_loss: all positions masked")
+        raise ValueError("text_ce_loss: all weights are zero")
     m = Tensor(logits.data.max(axis=1, keepdims=True))  # constant shift
     lse = ad.log(ad.exp(logits - m).sum(axis=1, keepdims=True)) + m
     onehot = np.zeros((T, V))
@@ -157,21 +152,3 @@ def sim_loss(sim_pred: Tensor, sim_ref: Tensor, w: LossWeights) -> tuple[Tensor,
     mse = (diff * diff).mean()
     total = js * w.js + mse * w.mse
     return js, mse, total
-
-
-def compose_end(txt: Tensor, mask_total: Tensor, bbox_total: Tensor, **parts) -> LossReport:
-    """Total = txt + mask + bbox; extra named parts are carried through."""
-    for name, v in (("txt", txt), ("mask", mask_total), ("bbox", bbox_total)):
-        if v is None:
-            raise ValueError(f"compose_end: missing constituent {name}")
-    total = txt + mask_total + bbox_total
-    return LossReport(txt=txt, mask=mask_total, bbox=bbox_total, total=total, **parts)
-
-
-def compose_ft(end: LossReport, sim_total: Tensor, **parts) -> LossReport:
-    """Fine-tune total = end-to-end total + sim."""
-    if end.total is None:
-        raise ValueError("compose_ft: end report lacks a total")
-    if sim_total is None:
-        raise ValueError("compose_ft: missing constituent sim")
-    return replace(end, sim=sim_total, total=end.total + sim_total, **parts)

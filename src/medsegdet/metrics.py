@@ -1,9 +1,8 @@
 """Evaluation metrics.
 
 Per-sample mask IoU/Dice, the two set-level IoU aggregations (mean per
-image and cumulative), analytic box IoU, detection accuracy at an IoU
-threshold, and the mask-to-box protocol for deriving tight boxes from
-binary masks.
+image and cumulative), analytic box IoU, detection accuracy at IoU 0.5,
+and the mask-to-box protocol for deriving tight boxes from binary masks.
 """
 
 from __future__ import annotations
@@ -73,18 +72,13 @@ def _seg_scores(pred, gt) -> tuple[float, float, int, int]:
     pred = _as_bool(pred)
     gt = _as_bool(gt)
     if pred.shape != gt.shape:
-        raise ShapeError(f"mask_iou_dice: shapes {pred.shape} vs {gt.shape}")
+        raise ShapeError(f"aggregate_seg: mask shapes {pred.shape} vs {gt.shape}")
     inter = int(np.count_nonzero(pred & gt))
     p, g = int(np.count_nonzero(pred)), int(np.count_nonzero(gt))
     union = p + g - inter
     if union == 0:
         return 1.0, 1.0, 0, 0
     return inter / union, 2 * inter / (p + g), inter, union
-
-
-def mask_iou_dice(pred, gt) -> tuple[float, float]:
-    """(iou, dice); the both-empty pair scores (1, 1)."""
-    return _seg_scores(pred, gt)[:2]
 
 
 def aggregate_seg(samples: list[EvalSample]) -> tuple[float, float, float]:
@@ -122,13 +116,11 @@ def _sample_box_iou(s: EvalSample) -> float:
     return box_iou(s.pred_box, s.gt_box) if s.pred_box is not None else 0.0
 
 
-def detection_acc(samples: list[EvalSample], threshold: float = 0.5) -> float:
-    """Percentage of samples with box IoU at or above the threshold."""
+def detection_acc(samples: list[EvalSample]) -> float:
+    """Percentage of samples with box IoU at or above 0.5."""
     if not samples:
         raise ValueError("detection_acc: empty sample set")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("detection_acc: threshold must lie in (0, 1)")
-    hits = sum(1 for s in samples if _sample_box_iou(s) >= threshold)
+    hits = sum(1 for s in samples if _sample_box_iou(s) >= 0.5)
     return 100.0 * hits / len(samples)
 
 

@@ -380,13 +380,13 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
 
 def candidate_bundles(
     seqs: list[MultimodalSequence], vocab: VocabSpec, image: bool = False
-) -> tuple[np.ndarray, Callable[[Tensor, np.ndarray | None], CandidateBundle]]:
+) -> tuple[np.ndarray, Callable[[Tensor, np.ndarray], CandidateBundle]]:
     """The packed rows the heads read (sorted), and the bundle as a function of their hidden states.
 
     The rows are each sequence's candidate rows (each id exactly once in
     the generated region) and with ``image`` its image rows, which needs
     one patch count.  The function takes a ``forward_packed`` result
-    holding the packed rows ``held`` (sorted; ``None`` for all) and gathers
+    holding the packed rows ``held`` (sorted) and gathers
     (B, n, d) candidates, in candidate-id order, and (B, P, d) image rows.
     """
     P = seqs[0].num_patches
@@ -407,9 +407,9 @@ def candidate_bundles(
             img_rows.extend(range(off, off + P))
         off += seq.num_patches + len(seq.token_ids)
 
-    def bundle(hidden: Tensor, held: np.ndarray | None = None) -> CandidateBundle:
+    def bundle(hidden: Tensor, held: np.ndarray) -> CandidateBundle:
         def take(rows, n):
-            return hidden[rows if held is None else np.searchsorted(held, rows)].reshape(len(seqs), n, hidden.shape[1])
+            return hidden[np.searchsorted(held, rows)].reshape(len(seqs), n, hidden.shape[1])
 
         return CandidateBundle(take(cand_rows, vocab.num_candidates), take(img_rows, P) if image else None)
 

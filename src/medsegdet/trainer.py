@@ -16,6 +16,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -38,7 +39,7 @@ from .decoders import (
     similarity_map,
 )
 from .fusion import CandidateBundle, FusionConfig, FusionOutput, RouterParams, fuse_candidates, init_router_params
-from .losses import LossReport, LossWeights, bbox_loss, compose_end, compose_ft, mask_loss, sim_loss, text_ce_loss
+from .losses import LossReport, LossWeights, bbox_loss, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample, MetricReport, evaluate_samples
 from .mllm import (
     EOS_ID,
@@ -53,7 +54,6 @@ from .mllm import (
     encode_image_patches,
     encode_text,
     expand_vocabulary,
-    forward,
     forward_packed,
     init_params,
     MultimodalSequence,
@@ -111,6 +111,11 @@ class TrainConfig:
         r, s = self.mix_ratio
         if r < 0 or s < 0 or r + s <= 0:
             raise ValueError("mix_ratio components must be nonnegative with a positive sum")
+        sizes = ("d_model", "n_blocks", "n_heads", "mllm_patch", "vision_patch", "vision_dim", "max_seq", "max_gen_len")
+        if any(type(getattr(self, f)) is not int or getattr(self, f) < 1 for f in sizes) or self.d_model % self.n_heads:
+            raise ValueError(f"{', '.join(sizes)} must be positive integers, d_model a multiple of n_heads")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -391,11 +396,12 @@ def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None 
     fused, box, mlogits = _heads(model, bundle, images)
     bce, dice, mask_total = mask_loss(mlogits, np.stack([s.record.mask for s in batch]), w)
     l1, giou, bbox_total = bbox_loss(box, [s.record.box.as_floats() for s in batch], w)
-    report = compose_end(txt_of(hidden, held), mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=giou)
-    if sim_ref is None:
-        return report
-    js, mse, sim_total = sim_loss(similarity_map(bundle.h_img, fused.h_seg), sim_ref, w)
-    return compose_ft(report, sim_total, js=js, mse=mse)
+    txt = txt_of(hidden, held)
+    report = LossReport(txt, bce, dice, l1, giou, mask=mask_total, bbox=bbox_total, total=txt + mask_total + bbox_total)
+    if sim_ref is not None:
+        report.js, report.mse, report.sim = sim_loss(similarity_map(bundle.h_img, fused.h_seg), sim_ref, w)
+        report.total = report.total + report.sim
+    return report
 
 
 def train_step(
@@ -453,13 +459,12 @@ def run_training(
 # -- evaluation ----------------------------------------------------------------------
 
 def _predict(model: Model, record: ImageRecord):
-    """Greedy-decode a record; returns (pred_mask, pred_box) with absent -> zeros/None."""
+    """Greedy-decode a record, then read its candidate rows as training does; absent -> zeros/None."""
     cfg = model.cfg
     question = record.qa[0].question if record.qa else REFERRING_TEMPLATES[0].format(label=record.label)
     with ad.no_grad():
         patches = encode_image_patches(record.image, cfg.mllm_patch, model.lm.patch_proj)
         q_ids = encode_text(question, model.vocab)
-        prompt = MultimodalSequence(patches, q_ids, gen_start=len(q_ids))
         # generation must leave the full sequence within the context window
         budget = cfg.max_seq - patches.data.shape[0] - len(q_ids)
         if budget < 1:
@@ -467,30 +472,25 @@ def _predict(model: Model, record: ImageRecord):
                 f"record {record.id}: {patches.data.shape[0]} image patches and {len(q_ids)} prompt "
                 f"tokens leave no room to generate within max_seq {cfg.max_seq}"
             )
-        generated = decode_greedy(prompt, model.lm, min(cfg.max_gen_len, budget))
+        generated = decode_greedy(MultimodalSequence(patches, q_ids), model.lm, min(cfg.max_gen_len, budget))
         seq = build_sequence(patches, q_ids, generated, model.vocab)
-        hidden, _ = forward(seq, model.lm)
         try:
-            _, bundle_of = candidate_bundles([seq], model.vocab)
+            rows, bundle_of = candidate_bundles([seq], model.vocab)
         except (CandidateAbsentError, DuplicateCandidateError) as exc:
             log.warning("record %s scores zero: asked %r, %s", record.id, question, exc)
             return np.zeros_like(record.mask, dtype=bool), None
-        _, box, mlogits = _heads(model, bundle_of(hidden), record.image[None])
+        bundle = bundle_of(forward_packed([seq], model.lm, rows=rows), rows)
+        _, box, mlogits = _heads(model, bundle, record.image[None])
     return mlogits.data[0] > 0, BBox(*box.data[0])
 
 
-def evaluate_model(
-    model: Model, records: list[ImageRecord], oracle_mode: bool = False
-) -> tuple[MetricReport, list[EvalSample]]:
-    """Greedy-decode every record and score it; oracle_mode scores gt against itself."""
+def evaluate_model(model: Model, records: list[ImageRecord]) -> tuple[MetricReport, list[EvalSample]]:
+    """Greedy-decode every record and score it."""
     if not records:
         raise ValueError("evaluate_model: no records")
     samples = []
     for record in records:
-        if oracle_mode:
-            pred_mask, pred_box = record.mask.copy(), record.box
-        else:
-            pred_mask, pred_box = _predict(model, record)
+        pred_mask, pred_box = _predict(model, record)
         samples.append(
             EvalSample(
                 pred_mask=pred_mask,
@@ -539,59 +539,70 @@ def save_checkpoint(path, model: Model, opt: OptState, iteration: int) -> None:
     entries[_CONFIG_KEY] = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(np.float64)
 
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(entries)))
-        for name in sorted(entries):
-            arr = np.asarray(entries[name], dtype="<f8")  # keeps rank, incl. 0-d
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-            fh.write(arr.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<II", CKPT_VERSION, len(entries)))
+            for name in sorted(entries):
+                arr = np.asarray(entries[name], dtype="<f8")  # keeps rank, incl. 0-d
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:  # a failed write or rename leaves no temp file behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
-    return buf
+def _read_exact(fh, n: int, size: int) -> bytes:
+    """The next n bytes of a file of ``size`` bytes; checked first, so no read asks for more than it holds."""
+    if n > size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {size - fh.tell()} left")
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CKPT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if _read_exact(fh, 4, size) != CKPT_MAGIC:
             raise CheckpointError("bad magic: not a checkpoint file")
-        version, count = struct.unpack("<II", _read_exact(fh, 8))
+        version, count = struct.unpack("<II", _read_exact(fh, 8, size))
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank)) if rank else ()
-            n_vals = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            data = np.frombuffer(_read_exact(fh, 8 * n_vals), dtype="<f8")
-            tensors[name] = data.reshape(dims).astype(np.float64)
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            try:
+                name = _read_exact(fh, name_len, size).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            if rank > 64:
+                raise CheckpointError(f"tensor {name}: rank {rank} above 64")
+            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, size))
+            data = np.frombuffer(_read_exact(fh, 8 * math.prod(dims), size), dtype="<f8")
+            try:
+                tensors[name] = data.reshape(dims).astype(np.float64)
+            except (ValueError, OverflowError) as exc:  # a dimension past what numpy can index
+                raise CheckpointError(f"tensor {name}: bad shape {dims}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError("trailing bytes after declared tensor count")
     for key in (_ITER_KEY, _STEP_KEY, _CONFIG_KEY):
         if key not in tensors:
             raise CheckpointError(f"checkpoint lacks required entry {key}")
     try:
+        iteration, opt_step = (int(tensors[key].item()) for key in (_ITER_KEY, _STEP_KEY))
+    except (ValueError, OverflowError) as exc:  # not one finite value
+        raise CheckpointError(f"bad counter entry: {exc}") from exc
+    try:
         cfg_json = tensors[_CONFIG_KEY].astype(np.uint8).tobytes().decode("utf-8")
         config = TrainConfig.from_dict(json.loads(cfg_json))
     except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not a config
         raise CheckpointError(f"bad config entry: {exc}") from exc
-    return Checkpoint(
-        tensors=tensors,
-        iteration=int(tensors[_ITER_KEY].reshape(-1)[0]),
-        opt_step=int(tensors[_STEP_KEY].reshape(-1)[0]),
-        config=config,
-    )
+    return Checkpoint(tensors, iteration, opt_step, config)
 
 
 def _load(ckpt: Checkpoint, prefix: str, arrays: dict[str, np.ndarray]) -> None:

@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import math
+import struct
 import sys
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 
 from medsegdet import autodiff as ad
 from medsegdet import trainer
-from medsegdet.cli import _jsonl_bytes, gradcheck_suite, main
+from medsegdet.cli import _jsonl_bytes, _read_model, gradcheck_suite, main
 from medsegdet.datagen import read_jsonl, synth_records
 from medsegdet.decoders import BBox
 from medsegdet.metrics import EvalSample, evaluate_samples
-from medsegdet.trainer import load_checkpoint
+from medsegdet.trainer import CheckpointError, load_checkpoint
 
 TINY = {
     "total_iters": 4,
@@ -54,8 +56,9 @@ def train_tiny(tmp_path, data, **overrides):
     return ckpt
 
 
-def untrained_checkpoint(tmp_path, monkeypatch, drop=None, config_json=None):
-    """A TINY checkpoint written without the entry ``drop``, or with ``config_json`` as its config."""
+def untrained_checkpoint(tmp_path, monkeypatch, drop=None, config_json=None, patch=None):
+    """A TINY checkpoint written without the entry ``drop``, with ``config_json`` as its config,
+    or with the one occurrence of the bytes ``patch[0]`` replaced by ``patch[1]``."""
     model = trainer.init_model(trainer.TrainConfig.from_dict(TINY))
     opt = trainer.init_opt_state(model.trainable())
     path = tmp_path / "broken.ckpt"
@@ -66,6 +69,10 @@ def untrained_checkpoint(tmp_path, monkeypatch, drop=None, config_json=None):
         if config_json is not None:
             m.setattr(trainer.json, "dumps", lambda *args, **kwargs: config_json)
         trainer.save_checkpoint(path, model, opt, iteration=0)
+    if patch is not None:
+        blob = path.read_bytes()
+        assert blob.count(patch[0]) == 1
+        path.write_bytes(blob.replace(*patch))
     return path
 
 
@@ -257,6 +264,15 @@ def test_train_nonfinite_loss_is_numeric_error(tmp_path, capsys, monkeypatch):
     assert not ckpt.exists()
 
 
+def test_train_out_that_is_a_directory_is_data_error_and_leaves_no_tmp(tmp_path, capsys):
+    data = make_data(tmp_path)
+    out = tmp_path / "run.ckpt"
+    out.mkdir()
+    assert run("train", "--data", data, "--config", write_config(tmp_path), "--out", out) == 2
+    one_error_line_naming(capsys, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "run.ckpt", "run.ckpt.log"]
+
+
 def test_train_on_a_malformed_split_is_data_error(tmp_path, capsys):
     data = write_split(tmp_path, synth_records(2, seed=3))
     with open(data / "train.jsonl", "a") as fh:
@@ -290,12 +306,13 @@ def test_train_init_from_a_checkpoint_without_a_tensor_is_data_error(tmp_path, c
 # -- eval ----------------------------------------------------------------------------
 
 
-def test_eval_oracle_mode_scores_everything_100(tmp_path):
+def test_eval_oracle_mode_scores_everything_100(tmp_path, monkeypatch):
+    # a predictor that returns the ground truth: the eval report must read 100 on all five metrics
     data = make_data(tmp_path)
     ckpt = train_tiny(tmp_path, data)
+    monkeypatch.setattr(trainer, "_predict", lambda model, record: (record.mask.copy(), record.box))
     report = tmp_path / "report.txt"
-    code = run("eval", "--data", data, "--ckpt", ckpt, "--split", "val",
-               "--report", report, "--oracle-mode")
+    code = run("eval", "--data", data, "--ckpt", ckpt, "--split", "val", "--report", report)
     assert code == 0
     text = report.read_text()
     for key in ("dice", "giou", "ciou", "box_iou", "acc"):
@@ -343,7 +360,9 @@ def test_eval_on_a_split_that_is_not_utf8_is_data_error(tmp_path, capsys, monkey
     {"config_json": "{not json"},
     {"config_json": '["lr_max"]'},
     {"config_json": '{"lr_max": "fast"}'},
-], ids=["missing-tensor", "config-not-json", "config-a-list", "config-bad-value"])
+    {"patch": (b"__iteration__" + struct.pack("<Id", 0, 0.0), b"__iteration__" + struct.pack("<IQ", 1, 0))},
+    {"patch": (struct.pack("<I", 7) + b"bbox.w3", struct.pack("<I", 7) + b"\xffbox.w3")},
+], ids=["missing-tensor", "config-not-json", "config-a-list", "config-bad-value", "empty-counter", "name-not-utf8"])
 def test_eval_on_a_broken_checkpoint_is_data_error(tmp_path, capsys, monkeypatch, broken):
     data = write_split(tmp_path, synth_records(2, seed=3), split="val")
     ckpt = untrained_checkpoint(tmp_path, monkeypatch, **broken)
@@ -351,6 +370,55 @@ def test_eval_on_a_broken_checkpoint_is_data_error(tmp_path, capsys, monkeypatch
     assert run("eval", "--data", data, "--ckpt", ckpt, "--report", report) == 2
     one_error_line_naming(capsys, ckpt)
     assert not report.exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
+
+
+def header_offsets(blob: bytes) -> list[int]:
+    """Offsets of a checkpoint's header bytes: the file header, each entry's name length, name,
+    rank and dimensions, and the values of the counter and config entries."""
+    offsets, pos = list(range(12)), 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        (n,) = struct.unpack_from("<I", blob, pos)
+        (rank,) = struct.unpack_from("<I", blob, pos + 4 + n)
+        end = pos + 8 + n + 8 * rank
+        values_end = end + 8 * math.prod(struct.unpack_from(f"<{rank}Q", blob, pos + 8 + n))
+        offsets += range(pos, values_end if blob[pos + 4 : pos + 6] == b"__" else end)
+        pos = values_end
+    return offsets
+
+
+def checkpoint_mutants(blob: bytes, seed: int = 0):
+    """Derandomized corruptions: 60 truncations, then 300 copies with 1-3 bytes changed,
+    two in three of them in header bytes only."""
+    rng = np.random.default_rng(seed)
+    headers = header_offsets(blob)
+    for k in range(60):
+        yield blob[: int(rng.choice(headers)) if k % 2 else int(rng.integers(len(blob)))]
+    for k in range(300):
+        pool = headers if k % 3 else range(len(blob))
+        mutant = bytearray(blob)
+        for pos in rng.choice(pool, size=1 + k % 3, replace=False):
+            mutant[pos] = (mutant[pos] + int(rng.integers(1, 256))) % 256
+        yield bytes(mutant)
+
+
+def test_a_corrupt_checkpoint_is_always_a_checkpoint_error(tmp_path, capsys, monkeypatch):
+    data = write_split(tmp_path, synth_records(2, seed=3), split="val")
+    blob = untrained_checkpoint(tmp_path, monkeypatch).read_bytes()
+    ckpt, report = tmp_path / "mutant.ckpt", tmp_path / "report.txt"
+    escaped, rejected = [], 0
+    for i, mutant in enumerate(checkpoint_mutants(blob)):
+        ckpt.write_bytes(mutant)
+        try:
+            _read_model(ckpt)
+        except CheckpointError:
+            rejected += 1
+            assert run("eval", "--data", data, "--ckpt", ckpt, "--report", report) == 2
+            one_error_line_naming(capsys, ckpt)
+            assert not report.exists()
+        except Exception as exc:  # any other type is the failure under test
+            escaped.append(f"mutant {i}: {type(exc).__name__}: {exc}"[:200])
+    assert not escaped, escaped
+    assert rejected >= 200  # header corruption mostly shows; value bytes may still load
 
 
 def test_eval_same_checkpoint_twice_is_byte_identical(tmp_path):

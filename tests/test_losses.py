@@ -7,10 +7,9 @@ import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.decoders import BBox
 from medsegdet.losses import (
+    LossReport,
     LossWeights,
     bbox_loss,
-    compose_end,
-    compose_ft,
     mask_loss,
     sim_loss,
     text_ce_loss,
@@ -89,12 +88,12 @@ def test_ce_forced_target_near_zero():
     tgt = [2, 5, 0]
     for t, c in enumerate(tgt):
         logits[t, c] = 50.0
-    loss = text_ce_loss(Tensor(logits), tgt)
+    loss = text_ce_loss(Tensor(logits), tgt, np.ones(3))
     assert float(loss.data) < 1e-8
 
 
 def test_ce_uniform_logits_is_log_vocab():
-    loss = text_ce_loss(Tensor(np.full((4, 16), 1.3)), [0, 5, 9, 15])
+    loss = text_ce_loss(Tensor(np.full((4, 16), 1.3)), [0, 5, 9, 15], np.ones(4))
     assert float(loss.data) == pytest.approx(np.log(16), abs=1e-12)
 
 
@@ -102,7 +101,7 @@ def test_ce_matches_naive_oracle():
     rng = np.random.default_rng(0)
     logits = rng.normal(scale=3, size=(6, 11))
     tgt = rng.integers(0, 11, size=6)
-    got = float(text_ce_loss(Tensor(logits), tgt).data)
+    got = float(text_ce_loss(Tensor(logits), tgt, np.ones(6)).data)
     assert got == pytest.approx(naive_ce(logits, tgt), abs=1e-12)
 
 
@@ -117,11 +116,13 @@ def test_ce_mask_drops_positions():
 
 def test_ce_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1], mask=[0, 0])
+        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1], [0, 0])
     with pytest.raises(ValueError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 9])
+        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 9], [1, 1])
     with pytest.raises(ShapeError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1, 2])
+        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1, 2], [1, 1, 1])
+    with pytest.raises(ShapeError):
+        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1], [1, 1, 1])
 
 
 def test_ce_gradcheck():
@@ -130,7 +131,7 @@ def test_ce_gradcheck():
     logits = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     tgt = [4, 0, 2]
     err = ad.finite_difference_check(
-        lambda: text_ce_loss(logits, tgt), [logits], max_coords_per_param=18
+        lambda: text_ce_loss(logits, tgt, np.ones(3)), [logits], max_coords_per_param=18
     )
     assert err < 1e-4
 
@@ -323,28 +324,6 @@ def test_sim_loss_length_mismatch():
 
 # -- composition ------------------------------------------------------------------
 
-def test_compose_end_sums_constituents():
-    rep = compose_end(Tensor(1.0), Tensor(2.0), Tensor(3.0))
-    assert float(rep.total.data) == 6.0
-    zero = compose_end(Tensor(0.0), Tensor(0.0), Tensor(0.0))
-    assert float(zero.total.data) == 0.0
-
-
-def test_compose_end_missing_constituent():
-    with pytest.raises(ValueError):
-        compose_end(Tensor(1.0), None, Tensor(3.0))
-
-
-def test_compose_ft_adds_sim():
-    end = compose_end(Tensor(1.0), Tensor(0.5), Tensor(0.5))
-    ft = compose_ft(end, Tensor(0.5))
-    assert float(ft.total.data) == 2.5
-    same = compose_ft(end, Tensor(0.0))
-    assert float(same.total.data) == float(end.total.data)
-    with pytest.raises(ValueError):
-        compose_ft(end, None)
-
-
 def test_compose_total_gradient_is_sum_of_parts():
     rng = np.random.default_rng(10)
     base = rng.normal(size=4)
@@ -356,7 +335,7 @@ def test_compose_total_gradient_is_sum_of_parts():
         mask = (x * 3.0).sum()
         bbox = ad.sigmoid(x).sum()
         if which == "total":
-            ad.backward(compose_end(txt, mask, bbox).total)
+            ad.backward(txt + mask + bbox)
         else:
             ad.backward({"txt": txt, "mask": mask, "bbox": bbox}[which])
         return x.grad.copy()
@@ -373,7 +352,7 @@ def test_report_scalars_and_weighted_composition():
     bce, dice, mask_total = mask_loss(z, gt, W)
     l1, gl, bbox_total = bbox_loss(rows(rand_box(rng)), targets(rand_box(rng)), W)
     txt = Tensor(0.37)
-    rep = compose_end(txt, mask_total, bbox_total, bce=bce, dice=dice, l1=l1, giou=gl)
+    rep = LossReport(txt, bce, dice, l1, gl, mask=mask_total, bbox=bbox_total, total=txt + mask_total + bbox_total)
     s = rep.scalars()
     assert s["total"] == pytest.approx(s["txt"] + s["mask"] + s["bbox"], abs=1e-10)
     assert s["mask"] == pytest.approx(2.0 * s["bce"] + 0.5 * s["dice"], abs=1e-10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from medsegdet.autodiff import ShapeError
+from medsegdet.datagen import synth_records
 from medsegdet.decoders import BBox
 from medsegdet.metrics import (
     EmptyMaskError,
@@ -13,7 +14,6 @@ from medsegdet.metrics import (
     detection_acc,
     evaluate_samples,
     mask2box,
-    mask_iou_dice,
 )
 
 
@@ -34,6 +34,12 @@ def naive_iou_dice(pred, gt):
 
 def sample(pred, gt, box=BBox(0, 0, 1, 1), cat="x"):
     return EvalSample(np.asarray(pred, bool), np.asarray(gt, bool), box, box, cat)
+
+
+def mask_iou_dice(pred, gt):
+    """(iou, dice) of one pair, through ``aggregate_seg`` on a one-sample list, which is exact."""
+    dice, iou, _ = aggregate_seg([sample(pred, gt)])
+    return iou, dice
 
 
 # -- per-sample mask metrics ---------------------------------------------------
@@ -93,7 +99,7 @@ def test_aggregate_singleton():
     gt = np.zeros((4, 4), bool)
     gt[:, :2] = True
     dice, giou, ciou = aggregate_seg([sample(pred, gt)])
-    iou, d = mask_iou_dice(pred, gt)
+    iou, d = naive_iou_dice(pred, gt)
     assert giou == ciou == iou
     assert dice == d
 
@@ -187,10 +193,6 @@ def test_detection_acc_mixed_and_none():
 def test_detection_acc_validation():
     with pytest.raises(ValueError):
         detection_acc([])
-    m = np.ones((1, 1), bool)
-    s = [EvalSample(m, m, BBox(0, 0, 1, 1), BBox(0, 0, 1, 1))]
-    with pytest.raises(ValueError):
-        detection_acc(s, threshold=0.0)
 
 
 # -- mask2box ------------------------------------------------------------------------
@@ -254,6 +256,16 @@ def test_evaluate_samples_report():
     assert rep.per_category["c0"]["dice"] == pytest.approx(100.0)
     text = rep.to_text()
     assert "samples: 6" in text and "per-category:" in text
+
+
+def test_evaluate_samples_scores_perfect_predictions_100():
+    records = synth_records(12, seed=4)
+    rep = evaluate_samples([EvalSample(r.mask.copy(), r.mask, r.box, r.box, r.label) for r in records])
+    assert rep.count == len(records)
+    text = rep.to_text()
+    for key in ("dice", "giou", "ciou", "box_iou", "acc"):
+        assert getattr(rep, key) == pytest.approx(100.0)
+        assert f"{key}: 100.00" in text
 
 
 def test_evaluate_samples_report_is_order_independent():

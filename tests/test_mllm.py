@@ -368,7 +368,7 @@ def expanded_small(seed=14):
 def extract(hidden, seq, vocab):
     """The one-sequence batch of ``candidate_bundles``, image rows included, from every row."""
     _, bundle_of = candidate_bundles([seq], vocab, image=True)
-    return bundle_of(hidden)
+    return bundle_of(hidden, np.arange(hidden.shape[0]))
 
 
 def test_extract_candidate_rows_match_hidden():
@@ -432,7 +432,8 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
     offsets = np.cumsum([0] + [seq.num_patches + len(seq.token_ids) for seq in seqs])
     rows, bundle_of = candidate_bundles(seqs, vocab, image=True)
     assert rows.tolist() == [0, 1, 2 + 2, 2 + 4, offsets[1], offsets[1] + 1, offsets[1] + 2 + 2, offsets[1] + 2 + 4]
-    bundle = bundle_of(hidden)
+    every = np.arange(hidden.shape[0])
+    bundle = bundle_of(hidden, every)
     assert bundle.candidates.shape == (2, 2, 8) and bundle.h_img.shape == (2, 2, 8)
     for i, seq in enumerate(seqs):
         own = hidden.data[offsets[i] : offsets[i + 1]]
@@ -443,7 +444,7 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
     np.testing.assert_allclose(part.candidates.data, bundle.candidates.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(part.h_img.data, bundle.h_img.data, rtol=0, atol=1e-12)
     cand_rows, cands_of = candidate_bundles(seqs, vocab)
-    assert cand_rows.tolist() == rows[[2, 3, 6, 7]].tolist() and cands_of(hidden).h_img is None
+    assert cand_rows.tolist() == rows[[2, 3, 6, 7]].tolist() and cands_of(hidden, every).h_img is None
     mixed = [seqs[0], build_sequence(no_patches(8), [4], [16, 17], vocab)]
     with pytest.raises(ShapeError, match="2 and 0 image patches"):
         candidate_bundles(mixed, vocab, image=True)

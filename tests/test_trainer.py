@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medsegdet.autodiff as ad
-from medsegdet import trainer
+from medsegdet import mllm, trainer
 from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.cli import PRESETS
 from medsegdet.datagen import QAPair, candidate_placeholders, synth_records
@@ -299,6 +299,20 @@ def test_train_step_finetune_adds_sim_terms():
     assert scal["total"] >= scal["txt"] * 0  # finite composition
 
 
+@pytest.mark.parametrize("mode", ["end2end", "finetune"])
+def test_batch_losses_total_is_the_sum_of_its_parts(mode):
+    cfg, model, records = build_tiny(mode=mode)
+    sampler = mixed_sampler(records, records, seed=0)
+    batch = [next(sampler) for _ in range(2)]
+    sim_ref = trainer.reference_maps(model, batch) if mode == "finetune" else None
+    report = trainer.batch_losses(model, batch, sim_ref)
+    total = report.txt + report.mask + report.bbox
+    if mode == "finetune":
+        total = total + report.sim
+    assert float(report.total.data) == float(total.data)
+    assert (report.sim is None) == (mode == "end2end")
+
+
 def test_train_step_finetune_reference_equals_query_gives_zero_sim():
     # when the reference query is the training query, both passes coincide
     cfg, model, records = build_tiny(mode="finetune")
@@ -470,7 +484,7 @@ def test_every_op_node_of_a_step_reaches_the_loss(preset):
     sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
     report = train_step(model, [next(sampler) for _ in range(4)], 0, cfg, init_opt_state(model.trainable()))
     nodes = ad.active_tape().nodes
-    reached, stack = set(), [report.total.node_id]
+    reached, stack = set(), [next(i for i, node in enumerate(nodes) if node.tensor is report.total)]
     while stack:
         i = stack.pop()
         if i != ad.CONSTANT and i not in reached:
@@ -793,15 +807,34 @@ def test_save_checkpoint_leaves_no_tmp_file(tmp_path):
 # -- evaluation -----------------------------------------------------------------------
 
 
-def test_evaluate_oracle_mode_is_all_perfect():
+def test_evaluate_oracle_mode_is_all_perfect(monkeypatch):
+    # evaluate_model fed ground-truth predictions scores every record perfectly
     cfg, model, records = build_tiny()
-    report, samples = evaluate_model(model, records, oracle_mode=True)
-    assert report.count == len(records)
+    monkeypatch.setattr(trainer, "_predict", lambda model, record: (record.mask.copy(), record.box))
+    report, samples = evaluate_model(model, records)
+    assert report.count == len(records) == len(samples)
     assert report.dice == pytest.approx(100.0)
     assert report.giou == pytest.approx(100.0)
     assert report.ciou == pytest.approx(100.0)
     assert report.box_iou == pytest.approx(100.0)
     assert report.acc == pytest.approx(100.0)
+
+
+def test_a_record_that_decodes_without_a_candidate_runs_no_lm_pass(monkeypatch, caplog):
+    # the zero score is decided from the decoded ids, before any pass that reads hidden states
+    cfg, model, records = build_tiny()
+    calls, real = [], mllm.forward_packed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "decode_greedy", lambda prompt, params, max_len: encode_text("no mark", model.vocab))
+    for module in (trainer, mllm):  # mllm.forward calls mllm's own forward_packed
+        monkeypatch.setattr(module, "forward_packed", counting)
+    pred_mask, pred_box = trainer._predict(model, records[0])
+    assert calls == [] and pred_box is None and not pred_mask.any()
+    assert "scores zero" in caplog.text
 
 
 def test_evaluate_untrained_model_runs_and_scores_in_range():
