@@ -1,18 +1,16 @@
 """Synthetic dataset pipeline.
 
-Generates grayscale images with one labeled object each, then runs a
-caption -> describe -> evaluate -> transform chain through ``MockOracle``
-to attach question/answer pairs, splits the records, and maps each one to
-and from its JSON form (the CLI writes the JSONL files, ``read_jsonl``
-reads them). The oracle is deterministic and derives its text from record
-geometry, so the whole pipeline is reproducible byte-for-byte.
+Generates grayscale images with one labeled object each, attaches the
+eight question/answer pairs ``MockOracle`` derives from each record's
+geometry, splits the records, and maps each one to and from its JSON form
+(the CLI writes the JSONL files, ``read_jsonl`` reads them). Every step is
+deterministic, so the whole pipeline is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import logging
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -21,24 +19,15 @@ import numpy as np
 from .decoders import BBox
 from .metrics import mask2box
 
-log = logging.getLogger(__name__)
-
 CATEGORIES = (
     "lung", "heart", "liver", "kidney", "tumor",
     "cyst", "vertebra", "aorta", "spleen", "nodule",
 )
 MODALITIES = ("ct", "mri", "xray", "ultrasound")
-PERSPECTIVES = ("attribute", "location")
-LENGTHS = ("long", "short")
-TEMPLATES = ("P_des", "P_des_alt")
 
 
 class DataError(ValueError):
     """Malformed or inconsistent dataset content."""
-
-
-class OracleError(RuntimeError):
-    """An oracle call failed or produced unusable output."""
 
 
 @dataclass(frozen=True)
@@ -58,19 +47,6 @@ class ImageRecord:
     label: str
     modality: str
     qa: list[QAPair] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class Description:
-    text: str
-    perspective: str
-    length: str
-
-
-@dataclass(frozen=True)
-class Verdict:
-    action: str  # keep | revise | drop
-    text: str | None = None
 
 
 def candidate_placeholders(n: int = 2) -> str:
@@ -94,72 +70,41 @@ def _polarity(record: ImageRecord) -> str:
 
 
 class MockOracle:
-    """Deterministic stand-in for the external-LLM roles of the pipeline, stateless
-    per call: text is a pure function of record geometry.
+    """Deterministic stand-in for an LLM annotator: a record's QA pairs are a
+    pure function of its geometry and ``seed``."""
 
-    ``policy``, a callable Description -> Verdict, decides the evaluate()
-    verdict per description; None (the default) keeps every one.
-    """
-
-    def __init__(self, seed: int = 0, policy=None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.policy = policy
 
-    def caption(self, record: ImageRecord) -> str:
-        pos = _position_phrase(record.box)
-        return (
-            f"a {record.modality} image with a {record.label} appearing "
-            f"{_polarity(record)} than its surroundings in the {pos} region"
-        )
-
-    def describe(self, caption: str, info: dict, template: str) -> list[Description]:
-        if template not in TEMPLATES:
-            raise OracleError(f"unknown description template {template!r}")
-        polarity = "brighter" if "brighter" in caption else "darker"
-        pos = _position_phrase(info["box"])
-        label = info["label"]
-        if template == "P_des":
-            texts = {
-                ("attribute", "long"):
-                    f"the region that appears {polarity} than its surroundings, "
-                    f"with the rounded outline typical of a {label}",
-                ("attribute", "short"): f"the {polarity} {label}",
-                ("location", "long"):
-                    f"the object situated in the {pos} of the image, "
-                    f"where the {label} is expected",
-                ("location", "short"): f"the {label} in the {pos}",
-            }
-        else:
-            texts = {
-                ("attribute", "long"):
-                    f"an area standing out as {polarity} than nearby tissue, "
-                    f"consistent with the appearance of a {label}",
-                ("attribute", "short"): f"that {polarity} structure, a {label}",
-                ("location", "long"):
-                    f"the structure occupying the {pos} portion of the scan, "
-                    f"which corresponds to the {label}",
-                ("location", "short"): f"the {pos} {label}",
-            }
-        return [
-            Description(texts[(p, ln)], p, ln) for p in PERSPECTIVES for ln in LENGTHS
+    def qa_pairs(self, record: ImageRecord) -> list[QAPair]:
+        """Eight pairs: two phrasings, each attribute then location, each long then short."""
+        polarity, pos, label = _polarity(record), _position_phrase(record.box), record.label
+        descriptions = [
+            ("attribute", "long", f"the region that appears {polarity} than its surroundings, "
+                                  f"with the rounded outline typical of a {label}"),
+            ("attribute", "short", f"the {polarity} {label}"),
+            ("location", "long", f"the object situated in the {pos} of the image, "
+                                 f"where the {label} is expected"),
+            ("location", "short", f"the {label} in the {pos}"),
+            ("attribute", "long", f"an area standing out as {polarity} than nearby tissue, "
+                                  f"consistent with the appearance of a {label}"),
+            ("attribute", "short", f"that {polarity} structure, a {label}"),
+            ("location", "long", f"the structure occupying the {pos} portion of the scan, "
+                                 f"which corresponds to the {label}"),
+            ("location", "short", f"the {pos} {label}"),
         ]
-
-    def evaluate(self, description: Description) -> Verdict:
-        return Verdict("keep") if self.policy is None else self.policy(description)
-
-    def transform(self, description: Description, label: str) -> QAPair:
-        variant = zlib.crc32(f"{self.seed}:{description.text}".encode()) % 2
-        if description.perspective == "attribute":
-            question = f"Identify and segment {description.text}."
-        else:
-            question = f"Segment {description.text}."
         suffix = candidate_placeholders()
-        if description.length == "long":
-            lead = "The structure in question" if variant else "The highlighted region"
-            answer = f"{lead} is the {label}. {suffix}"
-        else:
-            answer = f"The {label}. {suffix}"
-        return QAPair(question, answer, description.perspective, description.length)
+        pairs = []
+        for perspective, length, text in descriptions:
+            verb = "Identify and segment" if perspective == "attribute" else "Segment"
+            if length == "long":
+                variant = zlib.crc32(f"{self.seed}:{text}".encode()) % 2
+                lead = "The structure in question" if variant else "The highlighted region"
+                answer = f"{lead} is the {label}. {suffix}"
+            else:
+                answer = f"The {label}. {suffix}"
+            pairs.append(QAPair(f"{verb} {text}.", answer, perspective, length))
+        return pairs
 
 
 # -- synthetic images ----------------------------------------------------------
@@ -217,59 +162,21 @@ def synth_records(count: int, seed: int, hw: tuple[int, int] = (64, 64)) -> list
 
 # -- QA pipeline -----------------------------------------------------------------
 
-def _check_pair(pair: QAPair, label: str) -> None:
-    if label not in pair.answer:
-        raise OracleError(f"answer lacks the label {label!r}: {pair.answer!r}")
-    for token in candidate_placeholders().split():
-        if pair.answer.count(token) != 1:
-            raise OracleError(f"answer must contain {token} exactly once: {pair.answer!r}")
-
-
-def _pairs_for_record(record: ImageRecord, oracle: MockOracle) -> list[QAPair]:
-    caption = oracle.caption(record)
-    info = {"label": record.label, "box": record.box, "modality": record.modality}
-    pairs = []
-    for template in TEMPLATES:
-        descriptions = oracle.describe(caption, info, template)
-        if len(descriptions) != 4:
-            raise OracleError(
-                f"describe returned {len(descriptions)} descriptions, expected 4"
-            )
-        for desc in descriptions:
-            verdict = oracle.evaluate(desc)
-            if verdict.action == "drop":
-                continue
-            if verdict.action == "revise":
-                desc = replace(desc, text=verdict.text)
-            elif verdict.action != "keep":
-                raise OracleError(f"unknown verdict action {verdict.action!r}")
-            pair = oracle.transform(desc, record.label)
-            _check_pair(pair, record.label)
-            pairs.append(pair)
-    return pairs
-
-
 def generate_pipeline(
     records: list[ImageRecord],
     oracle: MockOracle,
     threads: int = 1,
 ) -> list[ImageRecord]:
-    """Attach QA pairs to every record; failing records are skipped with a log line.
+    """Every record with its QA pairs attached, sorted by id.
 
-    Runs on one thread, as the oracle chain holds the GIL and gains
-    nothing from more; ``threads`` must be 1.
+    Runs on one thread, as the oracle holds the GIL and gains nothing from
+    more; ``threads`` must be 1.
     """
     if not records:
         raise ValueError("generate_pipeline: no records")
     if threads != 1:
         raise ValueError(f"generate_pipeline: runs on one thread, got threads={threads}")
-    kept = []
-    for record in records:
-        try:
-            kept.append(replace(record, qa=_pairs_for_record(record, oracle)))
-        except OracleError as exc:
-            log.warning("skipping record %s: %s", record.id, exc)
-    return sorted(kept, key=lambda r: r.id)
+    return sorted((replace(r, qa=oracle.qa_pairs(r)) for r in records), key=lambda r: r.id)
 
 
 def training_ready(records: list[ImageRecord]) -> list[ImageRecord]:

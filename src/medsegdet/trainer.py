@@ -564,6 +564,11 @@ def _read_exact(fh, n: int, size: int) -> bytes:
     return fh.read(n)
 
 
+def _whole_numbers(values: np.ndarray, top: float) -> bool:
+    """Whether every value is an integer in [0, top]; NaN and infinities are not."""
+    return bool(np.all((values >= 0) & (values <= top) & (np.floor(values) == values)))
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -593,10 +598,12 @@ def load_checkpoint(path) -> Checkpoint:
     for key in (_ITER_KEY, _STEP_KEY, _CONFIG_KEY):
         if key not in tensors:
             raise CheckpointError(f"checkpoint lacks required entry {key}")
-    try:
-        iteration, opt_step = (int(tensors[key].item()) for key in (_ITER_KEY, _STEP_KEY))
-    except (ValueError, OverflowError) as exc:  # not one finite value
-        raise CheckpointError(f"bad counter entry: {exc}") from exc
+    for key in (_ITER_KEY, _STEP_KEY):  # float64 holds every integer up to 2**53 exactly
+        if tensors[key].size != 1 or not _whole_numbers(tensors[key], 2.0**53):
+            raise CheckpointError(f"bad counter entry {key}: not one integer in [0, 2**53]")
+    iteration, opt_step = (int(tensors[key].item()) for key in (_ITER_KEY, _STEP_KEY))
+    if not _whole_numbers(tensors[_CONFIG_KEY], 255):
+        raise CheckpointError("bad config entry: a value is not a byte, an integer in [0, 255]")
     try:
         cfg_json = tensors[_CONFIG_KEY].astype(np.uint8).tobytes().decode("utf-8")
         config = TrainConfig.from_dict(json.loads(cfg_json))

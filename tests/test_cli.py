@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 import struct
 import sys
 
@@ -11,8 +12,8 @@ import pytest
 
 from medsegdet import autodiff as ad
 from medsegdet import trainer
-from medsegdet.cli import _jsonl_bytes, _read_model, gradcheck_suite, main
-from medsegdet.datagen import read_jsonl, synth_records
+from medsegdet.cli import _jsonl_bytes, _read_model, _read_split, gradcheck_suite, main
+from medsegdet.datagen import DataError, MockOracle, generate_pipeline, read_jsonl, synth_records
 from medsegdet.decoders import BBox
 from medsegdet.metrics import EvalSample, evaluate_samples
 from medsegdet.trainer import CheckpointError, load_checkpoint
@@ -362,7 +363,11 @@ def test_eval_on_a_split_that_is_not_utf8_is_data_error(tmp_path, capsys, monkey
     {"config_json": '{"lr_max": "fast"}'},
     {"patch": (b"__iteration__" + struct.pack("<Id", 0, 0.0), b"__iteration__" + struct.pack("<IQ", 1, 0))},
     {"patch": (struct.pack("<I", 7) + b"bbox.w3", struct.pack("<I", 7) + b"\xffbox.w3")},
-], ids=["missing-tensor", "config-not-json", "config-a-list", "config-bad-value", "empty-counter", "name-not-utf8"])
+    # the config's opening '{"ba' with 256 added to the "{": a cast to uint8 would read it back as "{"
+    {"patch": (struct.pack("<4d", *b'{"ba'), struct.pack("<4d", ord("{") + 256, *b'"ba'))},
+    {"patch": (b"__iteration__" + struct.pack("<Id", 0, 0.0), b"__iteration__" + struct.pack("<Id", 0, 4.7))},
+], ids=["missing-tensor", "config-not-json", "config-a-list", "config-bad-value", "empty-counter", "name-not-utf8",
+        "config-byte-out-of-range", "counter-not-integer"])
 def test_eval_on_a_broken_checkpoint_is_data_error(tmp_path, capsys, monkeypatch, broken):
     data = write_split(tmp_path, synth_records(2, seed=3), split="val")
     ckpt = untrained_checkpoint(tmp_path, monkeypatch, **broken)
@@ -386,27 +391,27 @@ def header_offsets(blob: bytes) -> list[int]:
     return offsets
 
 
-def checkpoint_mutants(blob: bytes, seed: int = 0):
-    """Derandomized corruptions: 60 truncations, then 300 copies with 1-3 bytes changed,
-    two in three of them in header bytes only."""
+def mutants(blob: bytes, hot: list[int], seed: int = 0):
+    """Derandomized corruptions: 60 truncations, half of them at a ``hot`` offset, then 300
+    copies with 1-3 bytes changed, two in three of them at ``hot`` offsets only."""
     rng = np.random.default_rng(seed)
-    headers = header_offsets(blob)
     for k in range(60):
-        yield blob[: int(rng.choice(headers)) if k % 2 else int(rng.integers(len(blob)))]
+        yield blob[: int(rng.choice(hot)) if k % 2 else int(rng.integers(len(blob)))]
     for k in range(300):
-        pool = headers if k % 3 else range(len(blob))
+        pool = hot if k % 3 else range(len(blob))
         mutant = bytearray(blob)
         for pos in rng.choice(pool, size=1 + k % 3, replace=False):
             mutant[pos] = (mutant[pos] + int(rng.integers(1, 256))) % 256
         yield bytes(mutant)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_corrupt_checkpoint_is_always_a_checkpoint_error(tmp_path, capsys, monkeypatch):
     data = write_split(tmp_path, synth_records(2, seed=3), split="val")
     blob = untrained_checkpoint(tmp_path, monkeypatch).read_bytes()
     ckpt, report = tmp_path / "mutant.ckpt", tmp_path / "report.txt"
     escaped, rejected = [], 0
-    for i, mutant in enumerate(checkpoint_mutants(blob)):
+    for i, mutant in enumerate(mutants(blob, header_offsets(blob))):
         ckpt.write_bytes(mutant)
         try:
             _read_model(ckpt)
@@ -419,6 +424,37 @@ def test_a_corrupt_checkpoint_is_always_a_checkpoint_error(tmp_path, capsys, mon
             escaped.append(f"mutant {i}: {type(exc).__name__}: {exc}"[:200])
     assert not escaped, escaped
     assert rejected >= 200  # header corruption mostly shows; value bytes may still load
+
+
+def structure_offsets(blob: bytes) -> list[int]:
+    """Offsets of a split file's bytes outside its image payloads: the JSON syntax, ids, sizes,
+    masks, boxes, labels and QA text."""
+    payloads = [m.span(1) for m in re.finditer(rb'"image_b64": "([^"]*)"', blob)]
+    starts = [0] + [end for _, end in payloads]
+    ends = [start for start, _ in payloads] + [len(blob)]
+    return [i for a, b in zip(starts, ends) for i in range(a, b)]
+
+
+def test_a_corrupt_split_loads_or_is_a_data_error(tmp_path, capsys, monkeypatch):
+    records = generate_pipeline(synth_records(4, seed=3), MockOracle(seed=3))
+    data = write_split(tmp_path, records, split="val")
+    split, report = data / "val.jsonl", tmp_path / "report.txt"
+    ckpt = untrained_checkpoint(tmp_path, monkeypatch)
+    blob = split.read_bytes()
+    escaped, rejected = [], 0
+    for i, mutant in enumerate(mutants(blob, structure_offsets(blob))):
+        split.write_bytes(mutant)
+        try:
+            _read_split(split)
+        except DataError:
+            rejected += 1
+            assert run("eval", "--data", data, "--ckpt", ckpt, "--report", report) == 2
+            one_error_line_naming(capsys, split)
+            assert not report.exists()
+        except Exception as exc:  # any other type is the failure under test
+            escaped.append(f"mutant {i}: {type(exc).__name__}: {exc}"[:200])
+    assert not escaped, escaped
+    assert rejected >= 300, rejected  # broken syntax mostly shows; a changed letter or pixel may still load
 
 
 def test_eval_same_checkpoint_twice_is_byte_identical(tmp_path):

@@ -1,7 +1,7 @@
 """Stdlib lint: every name a package module imports is read somewhere in it,
 every module-level private name is read by some module of the package, and
-every public function, class, method and property is read by the package or
-by perfbench, not by tests alone."""
+every public constant, function, class, method and property is read by the
+package or by perfbench, not by tests alone."""
 
 import ast
 from pathlib import Path
@@ -43,6 +43,16 @@ def names_read(trees) -> set[str]:
     return read
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level ``_name`` that no module in ``sources`` reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
@@ -50,31 +60,26 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [f"{module}.{n}" for n in names if n.startswith("_") and not n.startswith("__") and n not in read]
+            unread += [
+                f"{module}.{n}" for n in defined_names(node)
+                if n.startswith("_") and not n.startswith("__") and n not in read
+            ]
     return sorted(unread)
 
 
 def unread_public_names(package: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """``module.name`` for each public module-level function or class, and ``module.Class.name``
-    for each public method or property of a class in ``package``, that no module of ``package``
-    or ``readers`` reads: a name only tests read is an API kept for them alone."""
+    """``module.name`` for each public module-level constant, function or class, and
+    ``module.Class.name`` for each public method or property of a class in ``package``, that
+    no module of ``package`` or ``readers`` reads: a name only tests read is kept for them alone."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     read = names_read([*trees.values(), *map(ast.parse, readers.values())])
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [(node.name, node.name)]
-                if isinstance(node, ast.ClassDef):
-                    names += [(f"{node.name}.{f.name}", f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
-                unread += [f"{module}.{qual}" for qual, n in names if not n.startswith("_") and n not in read]
+            names = [(n, n) for n in defined_names(node)]
+            if isinstance(node, ast.ClassDef):
+                names += [(f"{node.name}.{f.name}", f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            unread += [f"{module}.{qual}" for qual, n in names if not n.startswith("_") and n not in read]
     return sorted(unread)
 
 
@@ -94,11 +99,13 @@ def test_unread_public_names_names_each_name_no_module_reads():
     package = {
         "a": "def used():\n    pass\ndef spare():\n    pass\nclass C:\n    def m(self):\n        pass\n"
              "    @property\n    def p(self):\n        pass\n    def __init__(self):\n        pass\n"
-             "def _private():\n    pass\n",
+             "def _private():\n    pass\nLIMIT, SPARE_LIMIT = 1, 2\nSTEP: float = LIMIT\n__version__ = '1'\n",
         "b": "from .a import used\nused()\n",
     }
-    assert unread_public_names(package, {"bench": "import a\na.C().p\n"}) == ["a.C.m", "a.spare"]
-    assert unread_public_names(package, {}) == ["a.C", "a.C.m", "a.C.p", "a.spare"]
+    assert unread_public_names(package, {"bench": "import a\na.C().p\n"}) == ["a.C.m", "a.SPARE_LIMIT", "a.STEP", "a.spare"]
+    assert unread_public_names(package, {"bench": "from a import STEP\n"}) == [
+        "a.C", "a.C.m", "a.C.p", "a.SPARE_LIMIT", "a.spare"
+    ]
 
 
 def test_package_and_perfbench_read_every_public_name_the_package_defines():
