@@ -374,6 +374,15 @@ def _is_basic_key(key) -> bool:
     )
 
 
+def _distinct_rows(key) -> bool:
+    """True for a 1-D integer array that is strictly increasing and nonnegative,
+    which selects each row once (a negative index may alias a positive one)."""
+    return (
+        isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu"
+        and (key.size == 0 or key[0] >= 0) and bool((key[1:] > key[:-1]).all())
+    )
+
+
 def tslice(a: Tensor, key) -> Tensor:
     out = a.data[key]
     shape = a.shape
@@ -383,6 +392,8 @@ def tslice(a: Tensor, key) -> Tensor:
         z = np.zeros(shape)
         if basic:
             z[key] = g
+        elif _distinct_rows(key):  # 0.0 + g, as np.add.at would give (-0.0 becomes +0.0)
+            z[key] = g + 0.0
         else:  # fancy indices may repeat, so their gradients accumulate
             np.add.at(z, key, g)
         return (z,)
@@ -393,13 +404,15 @@ def tslice(a: Tensor, key) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 def _sigmoid(x: Array) -> Array:
-    """The logistic function of an array, computed without overflow."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function of an array, computed without overflow:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = exp(-|x|)."""
+    e = np.abs(x, out=np.empty_like(x))  # out= keeps a 0-d input an array
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= d
+    return e
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -408,8 +421,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    x = a.data
+    out = np.fmax(x, 0.0)  # NaN -> 0, as x > 0 is false there
+    out += 0.0  # -0.0 -> +0.0
+    return _record(out, (a,), lambda g: (g * (x > 0),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -442,8 +457,9 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     d = x.shape[-1]
     if g.shape != (d,) or b.shape != (d,):
         raise ShapeError(f"layer_norm: gain {g.shape} and bias {b.shape} do not match rows of {x.shape}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = ((xc * xc).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    # sum / d is np.mean's arithmetic without its Python wrapper
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    rstd = ((xc * xc).sum(axis=-1, keepdims=True) / d + eps) ** -0.5
     xhat = xc * rstd
     gd = g.data
     lead = tuple(range(x.data.ndim - 1))
@@ -454,8 +470,8 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
         if rx:
             gx = gout * gd
             dx = rstd * (
-                gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+                gx - gx.sum(axis=-1, keepdims=True) / d
+                - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
             )
         return (
             dx,
@@ -499,18 +515,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
     out = np.empty_like(Q)
     qo = ko = 0
     for (P, T, cached), pos in zip(segments, queries):
+        pos = np.asarray(pos)
         S, M = len(pos), cached + P + T
         qs, ks = slice(qo, qo + S), slice(ko, ko + M)
-        allowed = np.arange(M) <= cached + np.asarray(pos)[:, None]
-        allowed[:, : cached + P] = True
         w = _split_heads(Q[qs], n_heads) @ _split_heads(K[ks], n_heads).transpose(0, 2, 1)
         w *= scale
-        # -inf only for the row max: np.exp takes a slow path on -inf
-        np.copyto(w, -np.inf, where=~allowed)
+        # a query sees every key unless a text row lies past it (never in a one-row decode)
+        blocked = None
+        if S and T and pos.min() < P + T - 1:
+            blocked = np.arange(M) > cached + pos[:, None]
+            blocked[:, : cached + P] = False
+            # -inf only for the row max: np.exp takes a slow path on -inf
+            np.copyto(w, -np.inf, where=blocked)
         w -= w.max(axis=-1, keepdims=True)
-        np.copyto(w, 0.0, where=~allowed)
+        if blocked is not None:
+            np.copyto(w, 0.0, where=blocked)
         np.exp(w, out=w)
-        w *= allowed
+        if blocked is not None:
+            np.copyto(w, 0.0, where=blocked)
         w /= w.sum(axis=-1, keepdims=True)
         np.matmul(w, _split_heads(V[ks], n_heads), out=_split_heads(out[qs], n_heads))
         spans.append((qs, ks, w))
@@ -566,9 +588,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    shape = a.shape
     count = a.data.size if axis is None else a.data.shape[axis]
+    out = a.data.sum(axis=axis, keepdims=keepdims) / count  # np.mean's arithmetic
+    shape = a.shape
 
     def grad_fn(g):
         if axis is not None and not keepdims:

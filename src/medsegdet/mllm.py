@@ -160,7 +160,7 @@ def build_sequence(
     vocab: VocabSpec,
 ) -> MultimodalSequence:
     token_ids = list(prompt_ids) + list(generated_ids)
-    if any(t < 0 or t >= vocab.total_size for t in token_ids):
+    if token_ids and (min(token_ids) < 0 or max(token_ids) >= vocab.total_size):
         raise ValueError("token id out of vocabulary")
     return MultimodalSequence(patch_embeddings, token_ids, len(prompt_ids))
 
@@ -296,6 +296,9 @@ def forward_packed(
             raise ShapeError(f"forward_packed: a KV cache holds one sequence, got {len(seqs)}")
     # one gather reads token rows from tok_emb and patch rows from the
     # patches stacked under it
+    tokens = [t for seq in seqs for t in seq.token_ids]
+    if tokens and (min(tokens) < 0 or max(tokens) >= params.vocab_size):
+        raise ValueError("forward: token id out of vocabulary")
     segments, ids, positions, patches = [], [], [], []
     patch_row = params.vocab_size
     for seq in seqs:
@@ -304,8 +307,6 @@ def forward_packed(
             raise ShapeError("forward: empty sequence")
         if n and P:
             raise ShapeError(f"forward: {P} image patches after {n} cached rows")
-        if any(t < 0 or t >= params.vocab_size for t in seq.token_ids):
-            raise ValueError("forward: token id out of vocabulary")
         if n + P + T > cfg.max_seq:
             raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
         segments.append((P, T, n))

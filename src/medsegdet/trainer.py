@@ -283,13 +283,24 @@ def adamw_step(params: dict[str, Tensor], opt: OptState, lr: float, weight_decay
             continue
         m = opt.m[name]
         v = opt.v[name]
+        # m += (1 - b1) g;  v += (1 - b2) g g;
+        # p -= lr (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd p),
+        # in that order, through two scratch buffers
+        s1, s2 = np.empty_like(m), np.empty_like(m)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=s1)
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + weight_decay * p.data)
+        np.multiply(g, 1 - b2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1 - b1**t, out=s1)
+        np.divide(v, 1 - b2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 /= s2
+        s1 += np.multiply(p.data, weight_decay, out=s2)
+        s1 *= lr
+        p.data -= s1
     return skipped
 
 

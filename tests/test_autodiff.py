@@ -372,3 +372,151 @@ def test_bilinear_upsample_values_and_gradients_are_unchanged():
         backward((y * w).sum())
         digest = hashlib.sha256(y.data.tobytes() + x.grad.tobytes()).hexdigest()[:16]
         assert digest == recorded[out_hw], out_hw
+
+
+# -- fast kernels against the formulas they replaced, bit for bit ----------------
+# Each oracle below is the kernel's earlier form. The inputs hold NaN, ±inf,
+# ±0.0, subnormals and values past exp's range, also as 0-d arrays, where
+# numpy ufuncs return scalars instead of arrays.
+
+SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 710.0, -710.0, 746.0, -746.0, 1.5, -1.5]
+
+
+def special_inputs(seed):
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(scale=30.0, size=(6, 9))
+    grid.flat[rng.choice(grid.size, len(SPECIALS), replace=False)] = SPECIALS
+    return [grid, grid[:, 0], *(np.array(v) for v in SPECIALS)]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def old_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_relu_is_bitwise_the_where_formula():
+    for x in special_inputs(0):
+        assert same_bits(ad.relu(Tensor(x)).data, np.where(x > 0, x, 0.0)), x
+
+
+def test_sigmoid_is_bitwise_the_two_branch_formula():
+    # a NaN stays a NaN, but its sign bit may differ
+    for x in special_inputs(1):
+        with np.errstate(over="ignore"):
+            want = old_sigmoid(x)
+        got = ad._sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), x
+        assert same_bits(got[~nan], want[~nan]), x
+        assert same_bits(ad.sigmoid(Tensor(x)).data[~nan], want[~nan])
+
+
+def old_layer_norm(x, g, b, eps, gout):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    rstd = ((xc * xc).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = xc * rstd
+    gx = gout * g
+    dx = rstd * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(x.ndim - 1))
+    return xhat * g + b, dx, (gout * xhat).sum(axis=lead), gout.sum(axis=lead)
+
+
+def vjp_of_last_node(g):
+    """The active tape's last node's parent gradients for the output gradient ``g``."""
+    return ad.active_tape().nodes[-1].grad_fn(g)
+
+
+def test_layer_norm_forward_and_vjp_are_bitwise_the_mean_formula():
+    rng = np.random.default_rng(2)
+    for x in (rng.normal(size=(7, 12)), rng.normal(scale=1e3, size=(2, 3, 10)), special_inputs(3)[0]):
+        d = x.shape[-1]
+        g, b, gout = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
+        gout.flat[:3] = [-0.0, 0.0, 1e-310]
+        reset_tape()
+        params = [Tensor(a, requires_grad=True) for a in (x, g, b)]
+        with np.errstate(invalid="ignore"):
+            out = ad.layer_norm(*params, 1e-5)
+            got = (out.data, *vjp_of_last_node(gout))
+            want = old_layer_norm(x, g, b, 1e-5, gout)
+        for got_part, want_part in zip(got, want):
+            assert same_bits(got_part, want_part)
+
+
+def test_mean_is_bitwise_np_mean():
+    rng = np.random.default_rng(4)
+    for x in (rng.normal(size=(5, 7)), special_inputs(5)[0], np.array(-0.0), np.array(3.25)):
+        for axis, keepdims in ((None, False), (None, True), (0, False), (-1, True)):
+            if x.ndim == 0 and axis is not None:
+                continue
+            with np.errstate(invalid="ignore"):
+                assert same_bits(ad.tmean(Tensor(x), axis, keepdims).data, np.asarray(x.mean(axis=axis, keepdims=keepdims)))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [np.array([0, 2, 3]), np.array([1, 4], dtype=np.int32), np.array([], dtype=np.intp), np.array([3]),
+     np.array([-1, 2]), np.array([2, 0]), np.array([1, 1, 3])],
+    ids=["sorted", "int32", "empty", "one", "negative-aliases-last", "unsorted", "repeated"],
+)
+def test_gather_vjp_is_bitwise_np_add_at(key):
+    # a key that is not strictly increasing and nonnegative must accumulate:
+    # -1 and 2 name the same row of 3
+    x = Tensor(np.zeros((3 if key.size and key[0] < 0 else 5, 2)), requires_grad=True)
+    g = np.array([[-0.0, np.nan], [np.inf, -np.inf], [0.0, -2.5]])[: len(key)]
+    reset_tape()
+    x[key]
+    (got,) = vjp_of_last_node(g)
+    want = np.zeros(x.shape)
+    np.add.at(want, key, g)
+    assert same_bits(got, want)
+
+
+def old_attention(Q, K, V, segments, n_heads, queries):
+    scale = (Q.shape[1] // n_heads) ** -0.5
+    out = np.empty_like(Q)
+    qo = ko = 0
+    for (P, T, cached), pos in zip(segments, queries):
+        S, M = len(pos), cached + P + T
+        qs, ks = slice(qo, qo + S), slice(ko, ko + M)
+        allowed = np.arange(M) <= cached + np.asarray(pos)[:, None]
+        allowed[:, : cached + P] = True
+        w = ad._split_heads(Q[qs], n_heads) @ ad._split_heads(K[ks], n_heads).transpose(0, 2, 1)
+        w *= scale
+        np.copyto(w, -np.inf, where=~allowed)
+        w -= w.max(axis=-1, keepdims=True)
+        np.copyto(w, 0.0, where=~allowed)
+        np.exp(w, out=w)
+        w *= allowed
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, ad._split_heads(V[ks], n_heads), out=ad._split_heads(out[qs], n_heads))
+        qo, ko = qo + S, ko + M
+    return out
+
+
+@pytest.mark.parametrize(
+    "segments, queries",
+    [
+        ([(3, 4, 0), (0, 5, 0), (2, 1, 0), (0, 3, 6)], None),  # every case blocks some keys
+        ([(0, 1, 9)], [np.array([0])]),  # one-row decode query: nothing blocked
+        ([(2, 3, 0), (3, 0, 0), (0, 2, 4)], [np.array([4]), np.array([0, 2]), np.array([1])]),  # last rows only
+        ([(2, 3, 0), (0, 4, 2)], [np.array([1, 4]), np.array([2, 3])]),  # a prefix row; one blocked key
+    ],
+    ids=["full", "decode", "unblocked", "mixed"],
+)
+def test_attention_is_bitwise_the_allowed_mask_formula(segments, queries):
+    rng = np.random.default_rng(8)
+    queries = [np.arange(P + T) for P, T, _ in segments] if queries is None else queries
+    n_q, n_k = sum(map(len, queries)), sum(P + T + c for P, T, c in segments)
+    q, k, v = (rng.normal(scale=3.0, size=(n, 8)) for n in (n_q, n_k, n_k))
+    got = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2, queries).data
+    assert same_bits(got, old_attention(q, k, v, segments, 2, queries))

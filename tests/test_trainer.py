@@ -171,6 +171,37 @@ def test_adamw_matches_reference_over_many_steps():
         np.testing.assert_allclose(tensors[k].data, expected[k], rtol=1e-10, atol=1e-14)
 
 
+def test_adamw_is_bitwise_the_unbuffered_formula():
+    # the update's earlier form, one temporary per operation, as the oracle
+    rng = np.random.default_rng(8)
+    init = {"w": rng.normal(size=(6, 5)), "g0": np.array(-0.0), "s": np.array(4.0), "b": np.array([0.0, -0.0, 1e-310, -3.0])}
+    grads_seq = [{k: rng.normal(scale=10.0 ** rng.integers(-8, 4), size=v.shape) for k, v in init.items()} for _ in range(30)]
+    for grads in grads_seq[::7]:
+        grads["b"][:3] = [-0.0, 0.0, 5e-324]
+        grads["g0"] = np.array(-0.0)
+    tensors = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    opt = init_opt_state(tensors)
+    p = {k: v.copy() for k, v in init.items()}
+    m = {k: np.zeros_like(v) for k, v in init.items()}
+    v = {k: np.zeros_like(a) for k, a in init.items()}
+    (b1, b2), eps, lr, wd = trainer.ADAM_BETAS, trainer.ADAM_EPS, 3e-3, 0.02
+    for t, grads in enumerate(grads_seq, start=1):
+        for k, tensor in tensors.items():
+            tensor.grad = grads[k].copy()
+            g = grads[k]
+            m[k] *= b1
+            m[k] += (1 - b1) * g
+            v[k] *= b2
+            v[k] += (1 - b2) * g * g
+            mhat = m[k] / (1 - b1**t)
+            vhat = v[k] / (1 - b2**t)
+            p[k] -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p[k])
+        adamw_step(tensors, opt, lr=lr, weight_decay=wd)
+        for k, tensor in tensors.items():
+            for got, want in ((tensor.data, p[k]), (opt.m[k], m[k]), (opt.v[k], v[k])):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t, k)
+
+
 def test_adamw_skips_nonfinite_gradients(caplog):
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(2), requires_grad=True)
