@@ -299,11 +299,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     return _select("minimum", a, b, np.minimum, np.less_equal)
 
 
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-    return _record(np.abs(a.data), (a,), lambda g: (g * sign,))
-
-
 # -- matrix ops --------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -405,12 +400,12 @@ def tslice(a: Tensor, key) -> Tensor:
 
 def _sigmoid(x: Array) -> Array:
     """The logistic function of an array, computed without overflow:
-    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = exp(-|x|)."""
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1."""
     e = np.abs(x, out=np.empty_like(x))  # out= keeps a 0-d input an array
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
+    np.maximum(e, x >= 0, out=e)  # the numerator: 1 for x >= 0, else e; NaN stays NaN
     e /= d
     return e
 
@@ -425,12 +420,6 @@ def relu(a: Tensor) -> Tensor:
     out = np.fmax(x, 0.0)  # NaN -> 0, as x > 0 is false there
     out += 0.0  # -0.0 -> +0.0
     return _record(out, (a,), lambda g: (g * (x > 0),))
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
-    x = a.data
-    return _record(np.logaddexp(0.0, x), (a,), lambda g: (g * _sigmoid(x),))
 
 
 def softmax(a: Tensor) -> Tensor:

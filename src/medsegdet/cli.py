@@ -34,7 +34,6 @@ from .datagen import (
 )
 from .decoders import (
     bbox_decode,
-    dense_features,
     init_bbox_params,
     init_mask_decoder_params,
     mask_decode,
@@ -54,6 +53,7 @@ from .mllm import (
     expand_vocabulary,
     forward,
     forward_packed,
+    image_patches,
     init_params,
 )
 from .trainer import (
@@ -314,14 +314,17 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mlogits = Tensor(rng.normal(size=(2, 6, 7)), requires_grad=True)
     gt_mask = rng.uniform(size=(2, 6, 7)) > 0.6
     gt_mask[:, 2, 3] = True  # keep each foreground nonempty
-    results["loss.bce"] = check(lambda: mask_loss(mlogits, gt_mask, w)[0], [mlogits])
-    results["loss.dice"] = check(lambda: mask_loss(mlogits, gt_mask, w)[1], [mlogits])
+    # each part is checked through the fused total, with the other part's weight 0
+    bce_only, dice_only = replace(w, dice=0.0), replace(w, bce=0.0)
+    results["loss.bce"] = check(lambda: mask_loss(mlogits, gt_mask, bce_only)[2], [mlogits])
+    results["loss.dice"] = check(lambda: mask_loss(mlogits, gt_mask, dice_only)[2], [mlogits])
 
     # losses: box L1 and GIoU through a batch of two live corner rows
     corners = Tensor([[0.15, 0.25, 0.70, 0.85], [0.05, 0.40, 0.50, 0.60]], requires_grad=True)
     gt_boxes = [[0.30, 0.20, 0.80, 0.75], [0.10, 0.30, 0.60, 0.90]]
-    results["loss.l1"] = check(lambda: bbox_loss(corners, gt_boxes, w)[0], [corners])
-    results["loss.giou"] = check(lambda: bbox_loss(corners, gt_boxes, w)[1], [corners])
+    l1_only, giou_only = replace(w, giou=0.0), replace(w, l1=0.0)
+    results["loss.l1"] = check(lambda: bbox_loss(corners, gt_boxes, l1_only)[2], [corners])
+    results["loss.giou"] = check(lambda: bbox_loss(corners, gt_boxes, giou_only)[2], [corners])
 
     # losses: similarity JS and MSE over two maps (reference branch is detached by contract)
     sim_pred = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
@@ -369,8 +372,8 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mask_mix = rng.normal(size=(2, 16, 16))
 
     def mask_scalar():
-        feats = dense_features(images, 4, projection)
-        return (mask_decode(feats, h_seg, mcorners, mparams, (16, 16)) * mask_mix).sum()
+        logits = mask_decode((image_patches(images, 4), projection), h_seg, mcorners, mparams, (16, 16))
+        return (logits * mask_mix).sum()
 
     mask_tensors = [projection, h_seg, mcorners, *mparams.named().values()]
     results["decoder.mask"] = check(mask_scalar, mask_tensors)

@@ -2,12 +2,13 @@
 
 A small MLP turns each detection embedding into a normalized box, a row
 of a (B, 4) corner tensor; a prompt-conditioned linear head turns dense
-visual features (B, Hf, Wf, d), the segmentation embeddings and a
-differentiable soft rasterization of the boxes into (B, H, W) mask
-logits, a plain Tensor that is positive where a mask is predicted. The
-features are a plain Tensor from a frozen patchwise projection, the
-vision-backbone stand-in. Also hosts the patch-token similarity maps
-(B, P) used by the fine-tuning objective.
+visual features, the segmentation embeddings and a differentiable soft
+rasterization of the boxes into (B, H, W) mask logits, a plain Tensor
+that is positive where a mask is predicted. The features are a frozen
+patchwise projection of the image, the vision-backbone stand-in; the
+head contracts the prompt with the projection first, so it reads the
+image patches and never builds the feature grid. Also hosts the
+patch-token similarity maps (B, P) used by the fine-tuning objective.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
-from .mllm import encode_image_patches
 
 DEFAULT_SHARPNESS = 50.0
 
@@ -138,18 +138,8 @@ def soft_box_raster(boxes: Tensor, H: int, W: int, sharpness: float = DEFAULT_SH
     return fy * fx
 
 
-def dense_features(images: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
-    """(B, Hf, Wf, d) patchwise linear features of a (B, H, W) image stack (the vision-backbone stand-in)."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3:
-        raise ShapeError(f"dense_features: expected (B, H, W) images, got {images.shape}")
-    B, H, W = images.shape
-    rows = encode_image_patches(images, patch_size, projection)
-    return rows.reshape(B, H // patch_size, W // patch_size, projection.shape[1])
-
-
 def mask_decode(
-    f: Tensor,
+    f: tuple[np.ndarray, Tensor],
     h_seg: Tensor,
     boxes: Tensor,
     params: MaskDecoderParams,
@@ -159,12 +149,20 @@ def mask_decode(
 ) -> Tensor:
     """(B, H, W) mask logits: per cell ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.
 
-    ``f`` holds the (B, Hf, Wf, d) feature grids of ``dense_features``.
+    ``f`` is the pair (P, V) of the (B, Hf, Wf, p²) patch grid of
+    ``image_patches`` and the (p², d) projection: the features are
+    f(b,i,j) = P(b,i,j)·V.  The dots are taken as P·(V·(W_pᵀ h_seg)), so the
+    (B, Hf, Wf, d) feature grid is never built.
 
     ``use_box=False`` removes the raster term entirely, severing the
     gradient path from the mask loss into the box decoder.
     """
-    B, Hf, Wf, dim = f.shape
+    patches, proj = f
+    patches = np.asarray(patches, dtype=np.float64)
+    if patches.ndim != 4 or proj.data.ndim != 2 or proj.shape[0] != patches.shape[3]:
+        raise ShapeError(f"mask_decode: patch grid {patches.shape} does not fit projection {proj.shape}")
+    B, Hf, Wf, p2 = patches.shape
+    dim = proj.shape[1]
     if Hf == 0 or Wf == 0:
         raise ShapeError("mask_decode: empty feature grid")
     if h_seg.shape != (B, params.w_p.shape[0]):
@@ -173,8 +171,8 @@ def mask_decode(
         )
     if params.w_p.shape[1] != dim:
         raise ShapeError(f"mask_decode: feature dim {dim} does not match W_p {params.w_p.shape}")
-    q = (h_seg @ params.w_p).reshape(B, dim, 1)
-    dots = (f.reshape(B, Hf * Wf, dim) @ q).reshape(B, Hf, Wf)
+    q = proj @ (h_seg @ params.w_p).reshape(B, dim, 1)  # (B, p², 1)
+    dots = (Tensor(patches.reshape(B, Hf * Wf, p2)) @ q).reshape(B, Hf, Wf)
     if use_box:
         logits_lr = dots + params.gamma * soft_box_raster(boxes, Hf, Wf, sharpness) + params.b
     else:

@@ -4,7 +4,8 @@ Text cross-entropy, mask losses (BCE + Dice), box losses (L1 + GIoU),
 and the similarity losses (JS + MSE) used when fine-tuning against a
 detached reference pass. The mask, box and similarity losses take a
 whole batch as plain Tensors, (B, H, W) mask logits, (B, 4) corners or
-(B, P) maps, and return batch means.
+(B, P) maps, and return batch means. The mask and box losses are one
+tape node each, with an analytic VJP.
 """
 
 from __future__ import annotations
@@ -87,26 +88,41 @@ def mask_loss(z: Tensor, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor
     """(bce, dice, mask) over (B, H, W) logits ``z`` and targets, mask = w.bce*bce + w.dice*dice.
 
     BCE is the mean over every pixel of the batch; Dice is taken per
-    sample and then averaged.
+    sample and then averaged.  ``mask`` is one tape node with an analytic
+    VJP; ``bce`` and ``dice`` are untaped report scalars.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if z.shape != gt.shape or gt.ndim != 3:
         raise ShapeError(f"mask_loss: pred {z.shape} vs gt {gt.shape} (need equal (B, H, W))")
-    # BCE(sigmoid(z), y) = softplus(z) - z*y, stable for any logit magnitude
-    bce = (ad.softplus(z) - z * gt).mean()
-    p = ad.sigmoid(z)
+    x = z.data
+    p = ad._sigmoid(x)
+    # BCE(sigmoid(z), y) = softplus(z) - z*y, with softplus(z) = max(z, 0) + log1p(exp(-|z|))
+    # (np.logaddexp's formula, vectorized), stable for any logit magnitude
+    s = np.log1p(np.exp(-np.abs(x)))
+    s += np.maximum(x, 0.0)
+    s -= x * gt
+    bce = s.sum() / x.size
     inter = (p * gt).sum(axis=(1, 2))
-    denom = p.sum(axis=(1, 2)) + gt.sum(axis=(1, 2))
-    dice = (1.0 - (inter * 2.0 + DICE_EPS) / (denom + DICE_EPS)).mean()
-    total = bce * w.bce + dice * w.dice
-    return bce, dice, total
+    denom = p.sum(axis=(1, 2)) + gt.sum(axis=(1, 2)) + DICE_EPS
+    num = inter * 2.0 + DICE_EPS
+    dice = (1.0 - num / denom).sum() / len(x)
+    # d dice_b / d p = (num_b / denom_b - 2 y) / denom_b, through p' = p (1 - p)
+    coef = (w.dice / len(x)) * p * (1.0 - p)
+    coef *= (num / denom)[:, None, None] - 2.0 * gt
+    coef /= denom[:, None, None]
+    coef += (w.bce / x.size) * (p - gt)
+    total = ad._record(bce * w.bce + dice * w.dice, (z,), lambda g: (g * coef,))
+    return Tensor(bce), Tensor(dice), total
 
 
 def bbox_loss(pred: Tensor, gt, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
     """(l1, giou_loss, bbox) over (B, 4) corner rows, bbox = w.l1*l1 + w.giou*giou_loss.
 
     ``gt`` is a (B, 4) array of target corners. L1 is the mean over all
-    corners; GIoU is taken per box and then averaged.
+    corners; GIoU is taken per box and then averaged.  ``bbox`` is one
+    tape node with an analytic VJP: a max or min tie routes the gradient to
+    the predicted box, as ``autodiff.maximum`` does, and |d| has slope
+    sign(d), 0 at 0.  ``l1`` and ``giou_loss`` are untaped report scalars.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or gt.ndim != 2 or gt.shape[1] != 4:
@@ -114,22 +130,39 @@ def bbox_loss(pred: Tensor, gt, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]
     for who, b in (("predicted", pred.data), ("target", gt)):
         if not np.all((0.0 <= b[:, :2]) & (b[:, :2] <= b[:, 2:]) & (b[:, 2:] <= 1.0)):
             raise ValueError(f"bbox_loss: invalid {who} box among {b.tolist()}")
-    l1 = ad.absolute(pred - gt).mean()
+    B = len(gt)
+    diff = pred.data - gt
+    l1 = np.abs(diff).sum() / diff.size
 
-    lo, hi = pred[:, :2], pred[:, 2:]
+    # (B, 2) widths and heights of the intersection, the boxes and their hull
+    lo, hi = pred.data[:, :2], pred.data[:, 2:]
     glo, ghi = gt[:, :2], gt[:, 2:]
-    iwh = ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo), 0.0)
+    hi_in, lo_in = hi <= ghi, lo >= glo  # the predicted edge bounds the intersection
+    span = np.minimum(hi, ghi) - np.maximum(lo, glo)
+    iwh = np.maximum(span, 0.0)
     inter = iwh[:, 0] * iwh[:, 1]
     pwh, gwh = hi - lo, ghi - glo
     union = pwh[:, 0] * pwh[:, 1] + gwh[:, 0] * gwh[:, 1] - inter
-    hwh = ad.maximum(hi, ghi) - ad.minimum(lo, glo)
+    hwh = np.maximum(hi, ghi) - np.minimum(lo, glo)
     hull = hwh[:, 0] * hwh[:, 1]
     # tiny floor keeps degenerate (zero-area) pairs defined
-    iou = inter / (union + 1e-12)
-    giou = iou - (hull - union) / (hull + 1e-12)
-    giou_loss = (1.0 - giou).mean()
-    total = l1 * w.l1 + giou_loss * w.giou
-    return l1, giou_loss, total
+    union_e, hull_e = union + 1e-12, hull + 1e-12
+    giou = inter / union_e - (hull - union) / hull_e
+    giou_loss = (1.0 - giou).sum() / B
+
+    # d giou / d (inter, predicted area, hull), then through each width and height
+    d_union = 1.0 / hull_e - inter / (union_e * union_e)
+    d_inter = 1.0 / union_e - d_union
+    d_hull = (hull - union) / (hull_e * hull_e) - 1.0 / hull_e
+    d_iwh = (d_inter[:, None] * iwh[:, ::-1]) * (span >= 0.0)
+    d_pwh = d_union[:, None] * pwh[:, ::-1]
+    d_hwh = d_hull[:, None] * hwh[:, ::-1]
+    d_hi = d_iwh * hi_in + d_pwh + d_hwh * (hi >= ghi)
+    d_lo = d_iwh * lo_in + d_pwh + d_hwh * (lo <= glo)
+    coef = np.concatenate([d_lo, -d_hi], axis=1) * (w.giou / B)  # -d giou: the loss is 1 - giou
+    coef += (w.l1 / diff.size) * np.sign(diff)
+    total = ad._record(l1 * w.l1 + giou_loss * w.giou, (pred,), lambda g: (g * coef,))
+    return Tensor(l1), Tensor(giou_loss), total
 
 
 def _log_clamped(p: Tensor) -> Tensor:

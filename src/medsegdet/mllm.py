@@ -227,28 +227,32 @@ def expand_vocabulary(params: ModelParams, n: int, seed: int) -> ModelParams:
     )
 
 
+def image_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
+    """Non-overlapping patches, each flattened row-major: (gh, gw, p²) of an
+    (H, W) image, (B, gh, gw, p²) of a (B, H, W) stack."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim not in (2, 3):
+        raise ShapeError(f"image_patches: expected 2-D image or 3-D stack, got {image.shape}")
+    *lead, H, W = image.shape
+    if H % patch_size or W % patch_size:
+        raise ShapeError(f"image_patches: image {image.shape} not divisible by patch {patch_size}")
+    gh, gw = H // patch_size, W // patch_size
+    return (
+        image.reshape(*lead, gh, patch_size, gw, patch_size)
+        .swapaxes(-3, -2)
+        .reshape(*lead, gh, gw, patch_size * patch_size)
+    )
+
+
 def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
-    """Flatten non-overlapping patches (row-major) and project each to a d-vector.
+    """Project each of ``image_patches`` to a d-vector.
 
     An (H, W) image gives (patches, d) rows; a (B, H, W) stack gives
     (B, patches, d), through one matrix product over all rows.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim not in (2, 3):
-        raise ShapeError(f"encode_image_patches: expected 2-D image or 3-D stack, got {image.shape}")
-    *lead, H, W = image.shape
-    if H % patch_size or W % patch_size:
-        raise ShapeError(
-            f"encode_image_patches: image {image.shape} not divisible by patch {patch_size}"
-        )
-    gh, gw = H // patch_size, W // patch_size
-    patches = (
-        image.reshape(*lead, gh, patch_size, gw, patch_size)
-        .swapaxes(-3, -2)
-        .reshape(-1, patch_size * patch_size)
-    )
-    rows = Tensor(patches) @ projection
-    return rows.reshape(*lead, gh * gw, projection.shape[1]) if lead else rows
+    patches = image_patches(image, patch_size)
+    rows = Tensor(patches.reshape(-1, patches.shape[-1])) @ projection
+    return rows.reshape(patches.shape[0], -1, projection.shape[1]) if patches.ndim == 4 else rows
 
 
 class KVCache:

@@ -32,7 +32,6 @@ from .decoders import (
     BBoxParams,
     MaskDecoderParams,
     bbox_decode,
-    dense_features,
     init_bbox_params,
     init_mask_decoder_params,
     mask_decode,
@@ -55,6 +54,7 @@ from .mllm import (
     encode_text,
     expand_vocabulary,
     forward_packed,
+    image_patches,
     init_params,
     MultimodalSequence,
 )
@@ -357,10 +357,9 @@ def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[F
     cfg = model.cfg
     fused = fuse_candidates(bundle, model.router, cfg.fusion)
     box = bbox_decode(fused.h_det, model.bbox)
-    feats = dense_features(images, cfg.vision_patch, model.vision_proj)
     mlogits = mask_decode(
-        feats, fused.h_seg, box, model.maskdec, images.shape[1:],
-        sharpness=cfg.sharpness, use_box=cfg.use_box_prompt,
+        (image_patches(images, cfg.vision_patch), model.vision_proj), fused.h_seg, box, model.maskdec,
+        images.shape[1:], sharpness=cfg.sharpness, use_box=cfg.use_box_prompt,
     )
     return fused, box, mlogits
 

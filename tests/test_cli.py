@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from medsegdet import autodiff as ad
+from medsegdet import losses
 from medsegdet import trainer
 from medsegdet.cli import _jsonl_bytes, _read_model, _read_split, gradcheck_suite, main
 from medsegdet.datagen import DataError, MockOracle, generate_pipeline, read_jsonl, synth_records
@@ -524,12 +525,13 @@ def test_gradcheck_fixed_seed_gives_identical_table(capsys):
 
 
 def taped_primitives():
-    """Every autodiff function that records tape nodes, i.e. calls ``_record``."""
+    """Every autodiff function, and every fused loss, that records tape nodes, i.e. calls ``_record``."""
     return sorted(
         name
-        for name, fn in vars(ad).items()
+        for module in (ad, losses)
+        for name, fn in vars(module).items()
         if inspect.isfunction(fn)
-        and fn.__module__ == ad.__name__
+        and fn.__module__ == module.__name__
         and name != "_record"
         and "_record(" in inspect.getsource(fn)
     )

@@ -10,7 +10,6 @@ from medsegdet.decoders import (
     BBoxParams,
     MaskDecoderParams,
     bbox_decode,
-    dense_features,
     init_bbox_params,
     init_mask_decoder_params,
     mask_decode,
@@ -128,16 +127,14 @@ def test_raster_rejects_bad_sharpness():
         soft_box_raster(Tensor([0.0, 0.0, 1.0, 1.0]), 4, 4)
 
 
-# -- dense features & mask decoding -------------------------------------------
+# -- mask decoding -------------------------------------------------------------
+# ``features(grid)`` gives mask_decode a (B, Hf, Wf, d) feature grid as the
+# patch grid of an identity projection
 
-def test_dense_features_grid_shape():
-    proj = Tensor(np.random.default_rng(5).normal(size=(4, 7)))
-    f = dense_features(np.random.default_rng(6).normal(size=(2, 8, 6)), 2, proj)
-    assert f.shape == (2, 4, 3, 7)
-    with pytest.raises(ShapeError):
-        dense_features(np.zeros((1, 7, 6)), 2, proj)
-    with pytest.raises(ShapeError):
-        dense_features(np.zeros((8, 6)), 2, proj)
+
+def features(grid):
+    grid = np.asarray(grid.data if isinstance(grid, Tensor) else grid)
+    return grid, Tensor(np.eye(grid.shape[-1]))
 
 
 def test_mask_decode_null_prompt_constant_bias():
@@ -148,7 +145,7 @@ def test_mask_decode_null_prompt_constant_bias():
         gamma=Tensor(0.0, requires_grad=True),
         b=Tensor(0.7, requires_grad=True),
     )
-    out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.2, 0.2, 0.8, 0.8), params, (8, 8))
+    out = mask_decode(features(f), Tensor(np.zeros((1, 6))), boxes(0.2, 0.2, 0.8, 0.8), params, (8, 8))
     np.testing.assert_allclose(out.data, np.full((1, 8, 8), 0.7), atol=1e-12)
 
 
@@ -157,7 +154,7 @@ def test_mask_decode_box_dominated_limit_matches_box_interior():
     params = MaskDecoderParams(
         w_p=Tensor(np.zeros((6, 5))), gamma=Tensor(20.0), b=Tensor(-10.0)
     )
-    out = mask_decode(f, Tensor(np.zeros((1, 6))), boxes(0.25, 0.25, 0.75, 0.75), params, (32, 32))
+    out = mask_decode(features(f), Tensor(np.zeros((1, 6))), boxes(0.25, 0.25, 0.75, 0.75), params, (32, 32))
     pred = out.data[0] > 0
     ys = (np.arange(32) + 0.5) / 32
     inside = (ys >= 0.25) & (ys <= 0.75)
@@ -176,7 +173,7 @@ def test_mask_gradient_reaches_bbox_parameters():
     h_det = Tensor(rng.normal(size=(1, 6)))
     h_seg = Tensor(rng.normal(size=(1, 6)))
     box = bbox_decode(h_det, bparams)
-    out = mask_decode(f, h_seg, box, mparams, (8, 8))
+    out = mask_decode(features(f), h_seg, box, mparams, (8, 8))
     ad.backward(out.sum())
     assert np.any(bparams.w3.grad != 0)
     assert np.any(bparams.b3.grad != 0)
@@ -196,7 +193,7 @@ def test_mask_decode_linear_in_features_when_box_channel_off():
     a, b = 1.7, -0.4
 
     def run(grid):
-        return mask_decode(Tensor(grid), h_seg, box, params, (8, 8)).data
+        return mask_decode(features(grid), h_seg, box, params, (8, 8)).data
 
     np.testing.assert_allclose(
         run(a * F1 + b * F2), a * run(F1) + b * run(F2), atol=1e-10
@@ -208,10 +205,10 @@ def test_mask_decode_rows_equal_each_sample_decoded_alone():
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=23)
     grids, prompts = rng.normal(size=(3, 4, 4, 5)), rng.normal(size=(3, 6))
     corners = np.array([[0.1, 0.2, 0.6, 0.7], [0.3, 0.0, 0.9, 0.5], [0.0, 0.0, 1.0, 1.0]])
-    batch = mask_decode(Tensor(grids), Tensor(prompts), Tensor(corners), params, (8, 8))
+    batch = mask_decode(features(grids), Tensor(prompts), Tensor(corners), params, (8, 8))
     for i in range(3):
         alone = mask_decode(
-            Tensor(grids[i : i + 1]), Tensor(prompts[i : i + 1]),
+            features(grids[i : i + 1]), Tensor(prompts[i : i + 1]),
             Tensor(corners[i : i + 1]), params, (8, 8),
         )
         np.testing.assert_allclose(batch.data[i], alone.data[0], rtol=1e-13, atol=1e-13)
@@ -222,12 +219,15 @@ def test_mask_decode_dimension_mismatches_rejected():
     f = Tensor(rng.normal(size=(1, 4, 4, 5)))
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=13)
     with pytest.raises(ShapeError):
-        mask_decode(f, Tensor(np.zeros((1, 7))), boxes(0, 0, 1, 1), params, (8, 8))
+        mask_decode(features(f), Tensor(np.zeros((1, 7))), boxes(0, 0, 1, 1), params, (8, 8))
     with pytest.raises(ShapeError):
-        mask_decode(f, Tensor(np.zeros((2, 6))), boxes(0, 0, 1, 1), params, (8, 8))
+        mask_decode(features(f), Tensor(np.zeros((2, 6))), boxes(0, 0, 1, 1), params, (8, 8))
     bad = Tensor(rng.normal(size=(1, 4, 4, 9)))
     with pytest.raises(ShapeError):
-        mask_decode(bad, Tensor(np.zeros((1, 6))), boxes(0, 0, 1, 1), params, (8, 8))
+        mask_decode(features(bad), Tensor(np.zeros((1, 6))), boxes(0, 0, 1, 1), params, (8, 8))
+    for patches, proj in ((f.data, Tensor(np.eye(4, 5))), (f.data[0], Tensor(np.eye(5)))):
+        with pytest.raises(ShapeError, match="patch grid"):
+            mask_decode((patches, proj), Tensor(np.zeros((1, 6))), boxes(0, 0, 1, 1), params, (8, 8))
 
 
 def test_mask_decode_gradcheck():
@@ -236,14 +236,15 @@ def test_mask_decode_gradcheck():
     params = init_mask_decoder_params(feat_dim=5, prompt_dim=6, seed=15)
     h_seg = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     coords = Tensor([[0.2, 0.25, 0.8, 0.7], [0.1, 0.3, 0.5, 0.9]], requires_grad=True)
-    f = Tensor(rng.normal(size=(2, 3, 3, 5)))
+    patches = rng.normal(size=(2, 3, 3, 4))
+    proj = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     weights = rng.normal(size=(2, 6, 6))
 
     def loss():
-        out = mask_decode(f, h_seg, coords, params, (6, 6))
+        out = mask_decode((patches, proj), h_seg, coords, params, (6, 6))
         return (out * weights).sum()
 
-    leaves = [h_seg, params.w_p, params.gamma, params.b, coords]
+    leaves = [h_seg, proj, params.w_p, params.gamma, params.b, coords]
     assert ad.finite_difference_check(loss, leaves, max_coords_per_param=8) < 1e-4
 
 

@@ -7,6 +7,7 @@ import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.decoders import BBox
 from medsegdet.losses import (
+    DICE_EPS,
     LossReport,
     LossWeights,
     bbox_loss,
@@ -264,6 +265,82 @@ def test_bbox_loss_gradcheck():
         return bbox_loss(coords, gt, W)[2]
 
     assert ad.finite_difference_check(f, [coords]) < 1e-4
+
+
+# -- fused nodes against the tape compositions they replaced -----------------------
+
+
+def taped(fn, x, vjp):
+    """One local tape node: ``fn`` of a tensor's data with VJP g * vjp(x)."""
+    return ad._record(fn(x.data), (x,), lambda g, d=x.data: (g * vjp(d),))
+
+
+def composed_mask_loss(z, gt, w):
+    softplus = taped(lambda x: np.logaddexp(0.0, x), z, ad._sigmoid)
+    bce = (softplus - z * gt).mean()
+    p = ad.sigmoid(z)
+    inter = (p * gt).sum(axis=(1, 2))
+    denom = p.sum(axis=(1, 2)) + gt.sum(axis=(1, 2))
+    dice = (1.0 - (inter * 2.0 + DICE_EPS) / (denom + DICE_EPS)).mean()
+    return bce, dice, bce * w.bce + dice * w.dice
+
+
+def composed_bbox_loss(pred, gt, w):
+    l1 = taped(np.abs, pred - gt, np.sign).mean()
+    lo, hi = pred[:, :2], pred[:, 2:]
+    glo, ghi = gt[:, :2], gt[:, 2:]
+    iwh = ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo), 0.0)
+    inter = iwh[:, 0] * iwh[:, 1]
+    pwh, gwh = hi - lo, ghi - glo
+    union = pwh[:, 0] * pwh[:, 1] + gwh[:, 0] * gwh[:, 1] - inter
+    hwh = ad.maximum(hi, ghi) - ad.minimum(lo, glo)
+    hull = hwh[:, 0] * hwh[:, 1]
+    giou = inter / (union + 1e-12) - (hull - union) / (hull + 1e-12)
+    giou_loss = (1.0 - giou).mean()
+    return l1, giou_loss, l1 * w.l1 + giou_loss * w.giou
+
+
+def loss_and_grad(loss_fn, x, target, w):
+    ad.reset_tape()
+    t = Tensor(x, requires_grad=True)
+    parts = loss_fn(t, target, w)
+    ad.backward(parts[2])
+    return [float(part.data) for part in parts], t.grad
+
+
+def test_mask_loss_matches_its_tape_composition():
+    rng = np.random.default_rng(13)
+    z = rng.normal(scale=4.0, size=(3, 5, 6))
+    z[0, 0, :3] = [0.0, -0.0, 40.0]
+    gt = (rng.uniform(size=z.shape) > 0.5).astype(float)
+    gt[2] = 0.0  # an empty target
+    for w in (W, LossWeights(bce=0.0), LossWeights(dice=0.0)):
+        got, got_grad = loss_and_grad(mask_loss, z, gt, w)
+        want, want_grad = loss_and_grad(composed_mask_loss, z, gt, w)
+        assert got == pytest.approx(want, rel=1e-14)  # softplus: np.logaddexp's formula, vectorized
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-17)
+
+
+@pytest.mark.parametrize(
+    "pred, gt",
+    [
+        ([0.2, 0.3, 0.6, 0.7], [0.2, 0.3, 0.6, 0.7]),  # identical: every tie, |d| = 0
+        ([0.2, 0.3, 0.6, 0.7], [0.2, 0.1, 0.5, 0.7]),  # shared edges
+        ([0.1, 0.1, 0.4, 0.4], [0.4, 0.4, 0.9, 0.9]),  # touching corners: zero intersection
+        ([0.0, 0.0, 0.3, 0.2], [0.5, 0.6, 1.0, 1.0]),  # disjoint
+        ([0.3, 0.3, 0.5, 0.5], [0.1, 0.2, 0.9, 0.8]),  # nested
+        ([0.4, 0.4, 0.4, 0.6], [0.1, 0.2, 0.9, 0.8]),  # zero width
+    ],
+)
+def test_bbox_loss_matches_its_tape_composition_at_ties(pred, gt):
+    rng = np.random.default_rng(14)
+    other_pred, other_gt = rand_box(rng).as_floats(), rand_box(rng).as_floats()
+    pred, gt = np.array([pred, other_pred]), np.array([gt, other_gt])
+    for w in (W, LossWeights(l1=0.0), LossWeights(giou=0.0)):
+        got, got_grad = loss_and_grad(bbox_loss, pred, gt, w)
+        want, want_grad = loss_and_grad(composed_bbox_loss, pred, gt, w)
+        assert got == want
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-15)
 
 
 # -- similarity loss -------------------------------------------------------------

@@ -20,6 +20,7 @@ from medsegdet.mllm import (
     build_sequence,
     decode_greedy,
     encode_image_patches,
+    image_patches,
     encode_text,
     candidate_bundles,
     expand_vocabulary,
@@ -86,6 +87,18 @@ def test_encode_image_patches_of_a_stack_equal_each_image_alone():
     assert rows.shape == (3, 6, 5)
     for image, own in zip(images, rows.data):
         np.testing.assert_allclose(own, encode_image_patches(image, 2, proj).data, rtol=1e-15, atol=1e-15)
+
+
+def test_image_patches_grid_shape():
+    images = np.random.default_rng(6).normal(size=(2, 8, 6))
+    grid = image_patches(images, 2)
+    assert grid.shape == (2, 4, 3, 4)
+    np.testing.assert_array_equal(grid[1, 2, 1], images[1, 4:6, 2:4].reshape(-1))
+    assert image_patches(images[0], 2).shape == (4, 3, 4)
+    with pytest.raises(ShapeError):
+        image_patches(np.zeros((1, 7, 6)), 2)
+    with pytest.raises(ShapeError):
+        image_patches(np.zeros(8), 2)
 
 
 def test_encode_image_patches_rejects_indivisible():
