@@ -151,9 +151,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -176,12 +173,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
@@ -190,9 +181,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -267,16 +255,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _binary_data("div", a, b, np.divide)
-    ash, bsh, ad, bd = a.shape, b.shape, a.data, b.data
-    ra, rb = a.requires_grad, b.requires_grad
-    return _record(out, (a, b), lambda g: (
-        _unbroadcast(g / bd, ash) if ra else None,
-        _unbroadcast(-g * ad / (bd * bd), bsh) if rb else None,
-    ))
-
-
 def _select(name: str, a: Tensor, b: Tensor, ufunc, prefer_a) -> Tensor:
     """Elementwise pick between ``a`` and ``b``; the gradient follows the pick."""
     out = _binary_data(name, a, b, ufunc)
@@ -302,33 +280,20 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 # -- matrix ops --------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's rules: a 1-D operand is a row (left) or a
-    column (right) vector, and leading axes broadcast as a batch of matrices."""
+    """Matrix product of operands of at least 2 axes; leading axes broadcast
+    as a batch of matrices."""
     A, B = a.data, b.data
-    if A.ndim == 0 or B.ndim == 0:
-        raise ShapeError(f"matmul: scalar operand, got {a.shape} and {b.shape}")
-    a2 = A[None, :] if A.ndim == 1 else A
-    b2 = B[:, None] if B.ndim == 1 else B
+    if A.ndim < 2 or B.ndim < 2:
+        raise ShapeError(f"matmul: operands need at least 2 axes, got {a.shape} and {b.shape}")
     try:
-        out2 = np.matmul(a2, b2)
+        out = np.matmul(A, B)
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-    out = out2[..., 0] if B.ndim == 1 else out2
-    if A.ndim == 1:
-        out = out[..., 0] if B.ndim == 1 else out[..., 0, :]
-
     ra, rb = a.requires_grad, b.requires_grad
-
-    def grad_fn(g):
-        g2 = g.reshape(out2.shape)
-        da = db = None
-        if ra:
-            da = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(A.shape)
-        if rb:
-            db = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(B.shape)
-        return (da, db)
-
-    return _record(out, (a, b), grad_fn)
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(B, -1, -2), A.shape) if ra else None,
+        _unbroadcast(np.swapaxes(A, -1, -2) @ g, B.shape) if rb else None,
+    ))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -422,16 +387,20 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * (x > 0),))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    x = a.data
+def _softmax(x: Array) -> Array:
+    """The softmax of an array over its last axis: ``softmax``'s forward, and
+    ``losses.sim_loss``'s, stabilized by max subtraction."""
     if x.ndim == 0:
         raise ShapeError("softmax: input must have at least one axis")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("softmax: input contains non-finite values")
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    out = _softmax(a.data)
 
     def grad_fn(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -550,18 +519,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
     return _record(out, (q, k, v), grad_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    ad = a.data
-    return _record(out, (a,), lambda g: (g / ad,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record(out, (a,), lambda g: (g * out,))
-
-
 # -- reductions --------------------------------------------------------------
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -572,19 +529,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
-
-    return _record(out, (a,), grad_fn)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.sum(axis=axis, keepdims=keepdims) / count  # np.mean's arithmetic
-    shape = a.shape
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _record(out, (a,), grad_fn)
 

@@ -326,11 +326,12 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     results["loss.l1"] = check(lambda: bbox_loss(corners, gt_boxes, l1_only)[2], [corners])
     results["loss.giou"] = check(lambda: bbox_loss(corners, gt_boxes, giou_only)[2], [corners])
 
-    # losses: similarity JS and MSE over two maps (reference branch is detached by contract)
+    # losses: similarity JS and MSE over two maps, each through the fused total (reference maps are targets)
     sim_pred = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
     sim_ref = Tensor(rng.normal(size=(2, 16)))
-    results["loss.js"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[0], [sim_pred])
-    results["loss.mse"] = check(lambda: sim_loss(sim_pred, sim_ref, w)[1], [sim_pred])
+    js_only, mse_only = replace(w, mse=0.0), replace(w, js=0.0)
+    results["loss.js"] = check(lambda: sim_loss(sim_pred, sim_ref, js_only)[2], [sim_pred])
+    results["loss.mse"] = check(lambda: sim_loss(sim_pred, sim_ref, mse_only)[2], [sim_pred])
 
     # fusion, soft mode: two samples' candidates and both router MLPs
     fcfg = FusionConfig(n=3, mode="soft", router_hidden=4)

@@ -40,10 +40,10 @@ class FusionConfig:
     router_hidden: int = 16
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.router_hidden < 1:
-            raise ValueError("router_hidden must be >= 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("n must be an integer >= 1")
+        if type(self.router_hidden) is not int or self.router_hidden < 1:
+            raise ValueError("router_hidden must be an integer >= 1")
         if self.mode not in ("soft", "hard"):
             raise ValueError(f"unknown fusion mode {self.mode!r}")
 

@@ -4,12 +4,13 @@ Text cross-entropy, mask losses (BCE + Dice), box losses (L1 + GIoU),
 and the similarity losses (JS + MSE) used when fine-tuning against a
 detached reference pass. The mask, box and similarity losses take a
 whole batch as plain Tensors, (B, H, W) mask logits, (B, 4) corners or
-(B, P) maps, and return batch means. The mask and box losses are one
-tape node each, with an analytic VJP.
+(B, P) maps, and return batch means. Each loss is one tape node with an
+analytic VJP.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ from .autodiff import ShapeError, Tensor
 
 DICE_EPS = 1e-6
 _LOG_FLOOR = 1e-300
+
+
+def finite_real(v) -> bool:
+    """True for a finite int or float; a bool is not a number here."""
+    return (type(v) is int or isinstance(v, float)) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,8 @@ class LossWeights:
     mse: float = 1.0
 
     def __post_init__(self):
-        if any(v < 0 for v in vars(self).values()):
-            raise ValueError("loss weights must be nonnegative")
+        if not all(finite_real(v) and v >= 0 for v in vars(self).values()):
+            raise ValueError("loss weights must be finite nonnegative numbers")
 
 
 @dataclass
@@ -75,13 +81,17 @@ def text_ce_loss(logits: Tensor, target_ids, weights) -> Tensor:
     count = weights.sum()
     if count == 0:
         raise ValueError("text_ce_loss: all weights are zero")
-    m = Tensor(logits.data.max(axis=1, keepdims=True))  # constant shift
-    lse = ad.log(ad.exp(logits - m).sum(axis=1, keepdims=True)) + m
-    onehot = np.zeros((T, V))
-    onehot[np.arange(T), target_ids] = 1.0
-    picked = (logits * onehot).sum(axis=1, keepdims=True)
-    nll = (lse - picked).reshape(T)
-    return (nll * weights).sum() / float(count)
+    z = logits.data
+    rows = np.arange(T)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    nll = (np.log(s) + m - z[rows, target_ids, None]).reshape(T)
+    # d/dz = (w / count) (softmax(z) - onehot), with softmax(z) = e / s
+    gw = ((1.0 / count) * weights)[:, None]
+    coef = (gw / s) * e
+    coef[rows, target_ids] -= gw[:, 0]
+    return ad._record((nll * weights).sum() / count, (logits,), lambda g: (g * coef,))
 
 
 def mask_loss(z: Tensor, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
@@ -165,23 +175,29 @@ def bbox_loss(pred: Tensor, gt, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]
     return Tensor(l1), Tensor(giou_loss), total
 
 
-def _log_clamped(p: Tensor) -> Tensor:
-    return ad.log(ad.maximum(p, Tensor(_LOG_FLOOR)))
-
-
 def sim_loss(sim_pred: Tensor, sim_ref: Tensor, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:
-    """(js, mse, sim) over (B, P) maps, each a batch mean; the reference maps are detached."""
+    """(js, mse, sim) over (B, P) maps, each a batch mean, sim = w.js*js + w.mse*mse.
+
+    JS compares the row softmaxes of the maps; ``sim`` is one tape node with
+    an analytic VJP to ``sim_pred`` only, as the reference maps are targets.
+    ``js`` and ``mse`` are untaped report scalars.
+    """
     if sim_pred.shape != sim_ref.shape or sim_pred.data.ndim != 2:
         raise ShapeError(
             f"sim_loss: shapes {sim_pred.shape} vs {sim_ref.shape} (need equal (B, P))"
         )
-    ref = sim_ref.detach()
-    p = ad.softmax(sim_pred)
-    q = ad.softmax(ref)
-    logm = _log_clamped((p + q) * 0.5)
-    kl = p * (_log_clamped(p) - logm) + q * (_log_clamped(q) - logm)
-    js = kl.sum(axis=1).mean() * 0.5
-    diff = sim_pred - ref
-    mse = (diff * diff).mean()
-    total = js * w.js + mse * w.mse
-    return js, mse, total
+    x, ref = sim_pred.data, sim_ref.data
+    p, q = ad._softmax(x), ad._softmax(ref)
+    # the floor keeps log finite where a softmax entry underflows to 0
+    logp, logq = np.log(np.maximum(p, _LOG_FLOOR)), np.log(np.maximum(q, _LOG_FLOOR))
+    logm = np.log(np.maximum((p + q) * 0.5, _LOG_FLOOR))
+    kl = p * (logp - logm) + q * (logq - logm)
+    js = kl.sum(axis=1).sum() / len(x) * 0.5
+    diff = x - ref
+    mse = (diff * diff).sum() / diff.size
+    # d js / d p = (log p - log m) / (2B), then back through the row softmax
+    gp = (logp - logm) * (w.js * 0.5 / len(x))
+    coef = p * (gp - (gp * p).sum(axis=1, keepdims=True))
+    coef += diff * (2.0 * w.mse / diff.size)
+    total = ad._record(js * w.js + mse * w.mse, (sim_pred,), lambda g: (g * coef,))
+    return Tensor(js), Tensor(mse), total

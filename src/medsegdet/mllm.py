@@ -245,14 +245,11 @@ def image_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor) -> Tensor:
-    """Project each of ``image_patches`` to a d-vector.
-
-    An (H, W) image gives (patches, d) rows; a (B, H, W) stack gives
-    (B, patches, d), through one matrix product over all rows.
-    """
+    """Project each of ``image_patches`` of an (H, W) image to a d-vector: (patches, d) rows."""
+    if np.ndim(image) != 2:
+        raise ShapeError(f"encode_image_patches: expected a 2-D image, got {np.shape(image)}")
     patches = image_patches(image, patch_size)
-    rows = Tensor(patches.reshape(-1, patches.shape[-1])) @ projection
-    return rows.reshape(patches.shape[0], -1, projection.shape[1]) if patches.ndim == 4 else rows
+    return Tensor(patches.reshape(-1, patches.shape[-1])) @ projection
 
 
 class KVCache:

@@ -38,7 +38,7 @@ from .decoders import (
     similarity_map,
 )
 from .fusion import CandidateBundle, FusionConfig, FusionOutput, RouterParams, fuse_candidates, init_router_params
-from .losses import LossReport, LossWeights, bbox_loss, mask_loss, sim_loss, text_ce_loss
+from .losses import LossReport, LossWeights, bbox_loss, finite_real, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample, MetricReport, evaluate_samples
 from .mllm import (
     EOS_ID,
@@ -102,20 +102,29 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("end2end", "finetune"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        counts = ("warmup_iters", "total_iters", "batch_size", "seed")
+        if any(type(getattr(self, f)) is not int for f in counts):
+            raise ValueError(f"{', '.join(counts)} must be integers")
         if not 0 < self.warmup_iters <= self.total_iters:
             raise ValueError("need 0 < warmup_iters <= total_iters")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr_max <= 0:
-            raise ValueError("lr_max must be positive")
-        r, s = self.mix_ratio
-        if r < 0 or s < 0 or r + s <= 0:
-            raise ValueError("mix_ratio components must be nonnegative with a positive sum")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not (finite_real(self.lr_max) and self.lr_max > 0):
+            raise ValueError("lr_max must be a positive finite number")
+        if not finite_real(self.weight_decay):
+            raise ValueError("weight_decay must be a finite number")
+        if not (finite_real(self.sharpness) and self.sharpness > 0):
+            raise ValueError("sharpness must be a positive finite number")
+        if type(self.use_box_prompt) is not bool:
+            raise ValueError("use_box_prompt must be true or false")
+        r = self.mix_ratio
+        if len(r) != 2 or not all(finite_real(v) and v >= 0 for v in r) or r[0] + r[1] <= 0:
+            raise ValueError("mix_ratio must be two finite nonnegative numbers with a positive sum")
         sizes = ("d_model", "n_blocks", "n_heads", "mllm_patch", "vision_patch", "vision_dim", "max_seq", "max_gen_len")
         if any(type(getattr(self, f)) is not int or getattr(self, f) < 1 for f in sizes) or self.d_model % self.n_heads:
             raise ValueError(f"{', '.join(sizes)} must be positive integers, d_model a multiple of n_heads")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_backward_sigmoid_layer_matches_finite_differences():
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 
     def f():
-        return ad.sigmoid(w @ x).mean()
+        return ad.sigmoid(w @ x).sum()
 
     err = finite_difference_check(f, [w, x])
     assert err < 1e-4
@@ -106,7 +107,7 @@ def test_fd_check_reports_nonfinite():
     x = Tensor([1.0], requires_grad=True)
 
     def f():
-        return ad.log(x - 2.0).sum()  # log of a negative number
+        return (x * np.inf).sum()  # an overflowing product
 
     with pytest.raises(NonFiniteError):
         finite_difference_check(f, [x])
@@ -117,7 +118,6 @@ def _kernel_cases(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    pos = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.5, requires_grad=True)
     # keep relu inputs away from the kink where the derivative jumps
     away = rng.normal(size=(3, 4))
     away = away + np.sign(away) * 0.1
@@ -142,9 +142,6 @@ def _kernel_cases(rng):
         "relu": ([r], lambda: (ad.relu(r) * wconst).sum()),
         "concat": ([a, b], lambda: (ad.concat([a, b], axis=0) * np.vstack([wconst, wconst])).sum()),
         "sum": ([a], lambda: (ad.tsum(a, axis=1) * np.ones(3)).sum()),
-        "mean": ([a], lambda: (ad.tmean(a, axis=0) * np.ones(4)).sum()),
-        "log": ([pos], lambda: (ad.log(pos) * wconst).sum()),
-        "exp": ([a], lambda: (ad.exp(a) * wconst).sum()),
         "slice": ([a], lambda: (ad.tslice(a, (slice(0, 2), slice(1, 3))) * wconst[:2, 1:3]).sum()),
         "layer_norm": ([a, gain, shift], lambda: (ad.layer_norm(a, gain, shift, 1e-5) * wconst).sum()),
         "attention": ([q, k, v], lambda: (ad.attention(q, k, v, segments, 2) * watt).sum()),
@@ -227,7 +224,6 @@ BROADCAST_OPS = {
     "add": ad.add,
     "sub": ad.sub,
     "mul": ad.mul,
-    "div": ad.div,
     "maximum": ad.maximum,
 }
 
@@ -243,7 +239,7 @@ def test_binary_ops_unbroadcast_gradients_to_operand_shapes(op, shapes, constant
     rng = np.random.default_rng(seed)
     sa, sb = shapes.input_shapes
     # values on offset integer grids: operands never tie (maximum has no kink
-    # in reach of the step) and the divisor stays at least 0.25 from zero
+    # in reach of the step)
     a = Tensor(rng.integers(-3, 4, size=sa) + 0.25, requires_grad=constant != 0)
     b = Tensor(rng.integers(-3, 4, size=sb) - 0.25, requires_grad=constant != 1)
     w = rng.normal(size=shapes.result_shape)
@@ -269,6 +265,12 @@ def test_shape_mismatch_diagnostic_names_op_and_shapes():
     b = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(4, 5\)"):
         ad.matmul(a, b)
+
+
+@pytest.mark.parametrize("sa, sb", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,)), ((), (2, 2))])
+def test_matmul_rejects_an_operand_of_fewer_than_two_axes(sa, sb):
+    with pytest.raises(ShapeError, match=re.escape(f"{sa} and {sb}")):
+        ad.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
 
 def test_softmax_rejects_nonfinite_input():
@@ -450,16 +452,6 @@ def test_layer_norm_forward_and_vjp_are_bitwise_the_mean_formula():
             want = old_layer_norm(x, g, b, 1e-5, gout)
         for got_part, want_part in zip(got, want):
             assert same_bits(got_part, want_part)
-
-
-def test_mean_is_bitwise_np_mean():
-    rng = np.random.default_rng(4)
-    for x in (rng.normal(size=(5, 7)), special_inputs(5)[0], np.array(-0.0), np.array(3.25)):
-        for axis, keepdims in ((None, False), (None, True), (0, False), (-1, True)):
-            if x.ndim == 0 and axis is not None:
-                continue
-            with np.errstate(invalid="ignore"):
-                assert same_bits(ad.tmean(Tensor(x), axis, keepdims).data, np.asarray(x.mean(axis=axis, keepdims=keepdims)))
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,21 @@ def test_train_bad_config_field_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"fusion": {"n": 2.5}}, {"fusion": {"n": True}}, {"fusion": {"router_hidden": 1.5}},
+    {"total_iters": 2.5}, {"batch_size": 1.5}, {"weight_decay": "x"}, {"sharpness": -1}, {"sharpness": "x"},
+    {"lr_max": math.nan}, {"lr_max": math.inf}, {"mix_ratio": [1, math.nan]}, {"use_box_prompt": "no"},
+], ids=lambda o: json.dumps(o))
+def test_train_config_values_that_parse_but_do_not_fit_are_usage_errors(tmp_path, capsys, override):
+    # rejected before the data is read, without a traceback and without training
+    cfg = write_config(tmp_path, **override)
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--data", tmp_path / "nope", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config: "), err
+    assert not out.exists()
+
+
 def test_train_finetune_without_init_is_usage_error(tmp_path):
     data = make_data(tmp_path)
     cfg = write_config(tmp_path)

@@ -270,23 +270,53 @@ def test_bbox_loss_gradcheck():
 # -- fused nodes against the tape compositions they replaced -----------------------
 
 
-def taped(fn, x, vjp):
-    """One local tape node: ``fn`` of a tensor's data with VJP g * vjp(x)."""
-    return ad._record(fn(x.data), (x,), lambda g, d=x.data: (g * vjp(d),))
+def taped(fn, vjp, *xs):
+    """One local tape node: ``fn`` of the tensors' data, with VJPs ``vjp(g, *data)``."""
+    xs = [x if isinstance(x, Tensor) else Tensor(x) for x in xs]
+    data = [x.data for x in xs]
+    return ad._record(fn(*data), xs, lambda g: vjp(g, *data))
+
+
+# the tape ops these compositions used, as they were
+def mean(x):
+    return taped(lambda d: d.sum() / d.size, lambda g, d: (np.broadcast_to(g / d.size, d.shape).copy(),), x)
+
+
+def div(a, b):
+    return taped(np.divide, lambda g, a, b: (g / b, -g * a / (b * b)), a, b)
+
+
+def log(x):
+    return taped(np.log, lambda g, d: (g / d,), x)
+
+
+def exp(x):
+    return taped(np.exp, lambda g, d: (g * np.exp(d),), x)
+
+
+def composed_text_ce(logits, target_ids, weights):
+    T, V = logits.shape
+    m = Tensor(logits.data.max(axis=1, keepdims=True))
+    lse = log(exp(logits - m).sum(axis=1, keepdims=True)) + m
+    onehot = np.zeros((T, V))
+    onehot[np.arange(T), target_ids] = 1.0
+    picked = (logits * onehot).sum(axis=1, keepdims=True)
+    nll = (lse - picked).reshape(T)
+    return div((nll * weights).sum(), float(weights.sum()))
 
 
 def composed_mask_loss(z, gt, w):
-    softplus = taped(lambda x: np.logaddexp(0.0, x), z, ad._sigmoid)
-    bce = (softplus - z * gt).mean()
+    softplus = taped(lambda x: np.logaddexp(0.0, x), lambda g, x: (g * ad._sigmoid(x),), z)
+    bce = mean(softplus - z * gt)
     p = ad.sigmoid(z)
     inter = (p * gt).sum(axis=(1, 2))
     denom = p.sum(axis=(1, 2)) + gt.sum(axis=(1, 2))
-    dice = (1.0 - (inter * 2.0 + DICE_EPS) / (denom + DICE_EPS)).mean()
+    dice = mean(1.0 - div(inter * 2.0 + DICE_EPS, denom + DICE_EPS))
     return bce, dice, bce * w.bce + dice * w.dice
 
 
 def composed_bbox_loss(pred, gt, w):
-    l1 = taped(np.abs, pred - gt, np.sign).mean()
+    l1 = mean(taped(np.abs, lambda g, d: (g * np.sign(d),), pred - gt))
     lo, hi = pred[:, :2], pred[:, 2:]
     glo, ghi = gt[:, :2], gt[:, 2:]
     iwh = ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo), 0.0)
@@ -295,9 +325,41 @@ def composed_bbox_loss(pred, gt, w):
     union = pwh[:, 0] * pwh[:, 1] + gwh[:, 0] * gwh[:, 1] - inter
     hwh = ad.maximum(hi, ghi) - ad.minimum(lo, glo)
     hull = hwh[:, 0] * hwh[:, 1]
-    giou = inter / (union + 1e-12) - (hull - union) / (hull + 1e-12)
-    giou_loss = (1.0 - giou).mean()
+    giou = div(inter, union + 1e-12) - div(hull - union, hull + 1e-12)
+    giou_loss = mean(1.0 - giou)
     return l1, giou_loss, l1 * w.l1 + giou_loss * w.giou
+
+
+def composed_sim_loss(pred, ref, w):
+    ref = Tensor(ref.data.copy())  # a constant: no gradient reaches the reference
+
+    def log_clamped(x):
+        return log(ad.maximum(x, 1e-300))
+
+    p, q = ad.softmax(pred), ad.softmax(ref)
+    logm = log_clamped((p + q) * 0.5)
+    kl = p * (log_clamped(p) - logm) + q * (log_clamped(q) - logm)
+    js = mean(kl.sum(axis=1)) * 0.5
+    diff = pred - ref
+    mse = mean(diff * diff)
+    return js, mse, js * w.js + mse * w.mse
+
+
+def test_each_loss_records_one_tape_node():
+    rng = np.random.default_rng(17)
+    box = [[0.2, 0.3, 0.6, 0.7], [0.1, 0.1, 0.5, 0.4]]
+    cases = [
+        (lambda x: text_ce_loss(x, [1, 0, 3], np.ones(3)), rng.normal(size=(3, 5))),
+        (lambda x: mask_loss(x, rng.uniform(size=(2, 4, 4)) > 0.5, W)[2], rng.normal(size=(2, 4, 4))),
+        (lambda x: bbox_loss(x, box[::-1], W)[2], box),
+        (lambda x: sim_loss(x, Tensor(rng.normal(size=(2, 6))), W)[2], rng.normal(size=(2, 6))),
+    ]
+    for loss_fn, data in cases:
+        tape = ad.reset_tape()
+        x = Tensor(data, requires_grad=True)
+        loss = loss_fn(x)
+        assert [n.tensor for n in tape.nodes] == [x, loss]
+        assert tape.nodes[1].parent_ids == (0,)
 
 
 def loss_and_grad(loss_fn, x, target, w):
@@ -341,6 +403,44 @@ def test_bbox_loss_matches_its_tape_composition_at_ties(pred, gt):
         want, want_grad = loss_and_grad(composed_bbox_loss, pred, gt, w)
         assert got == want
         np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-15)
+
+
+def test_text_ce_loss_is_bitwise_its_tape_composition():
+    rng = np.random.default_rng(15)
+    for T, V in ((1, 2), (7, 11), (40, 258)):
+        logits = rng.normal(scale=4.0, size=(T, V))
+        logits[0, :2] = [60.0, -60.0]
+        tgt = rng.integers(0, V, size=T)
+        weights = rng.uniform(size=T) * (rng.uniform(size=T) > 0.3)
+        weights[0] = 0.25
+        results = []
+        for loss_fn in (text_ce_loss, composed_text_ce):
+            ad.reset_tape()
+            t = Tensor(logits, requires_grad=True)
+            loss = loss_fn(t, tgt, weights)
+            ad.backward(loss)
+            results.append((float(loss.data), t.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got == want
+        assert np.array_equal(got_grad, want_grad)
+
+
+def test_sim_loss_matches_its_tape_composition():
+    # the composition's gradient adds the +1 of d(p log p)/dp and the -1 of the
+    # log m terms before the softmax VJP, which cancels any constant; the fused
+    # VJP never forms them, so some entries round differently: by at most
+    # 1.8e-15 times the largest entry over 600 such trials
+    rng = np.random.default_rng(16)
+    for trial in range(60):
+        pred = rng.normal(scale=[[0.5], [3.0], [12.0]], size=(3, 16))
+        if trial % 4 == 0:
+            pred[0, :2] = [800.0, -800.0]  # softmax entries underflow to 0: the log floor
+        ref = Tensor(rng.normal(scale=3.0, size=(3, 16)))
+        w = (W, LossWeights(js=0.0), LossWeights(mse=0.0))[trial % 3]
+        got, got_grad = loss_and_grad(sim_loss, pred, ref, w)
+        want, want_grad = loss_and_grad(composed_sim_loss, pred, ref, w)
+        assert got == want
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=4e-15 * np.abs(want_grad).max())
 
 
 # -- similarity loss -------------------------------------------------------------

@@ -651,7 +651,8 @@ RECORDED_STEPS = {
 }
 
 
-def _step_fingerprint(mode: str, steps: int):
+def _small_run(mode: str):
+    """Config, model, optimizer state and sampler of a batch-2 run on 4 records."""
     if mode == "end2end":
         cfg = TrainConfig.from_dict({**PRESETS["overfit"], "batch_size": 2})
         records = synth_records(4, seed=0)
@@ -659,8 +660,11 @@ def _step_fingerprint(mode: str, steps: int):
         cfg = TrainConfig.from_dict({**PRESETS["finetune"], "mix_ratio": [0, 1], "batch_size": 2})
         records = short_qa_records(4, seed=0)
     model = init_model(cfg)
-    opt = init_opt_state(model.trainable())
-    sampler = mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+    return cfg, model, init_opt_state(model.trainable()), mixed_sampler(records, records, cfg.mix_ratio, seed=0)
+
+
+def _step_fingerprint(mode: str, steps: int):
+    cfg, model, opt, sampler = _small_run(mode)
     losses, hashes = [], {name: hashlib.sha256() for name in model.trainable()}
     for it in range(steps):
         report = train_step(model, [next(sampler) for _ in range(2)], it, cfg, opt)
@@ -684,6 +688,19 @@ def test_train_steps_reproduce_recorded_losses_and_gradients(mode):
     assert losses == want_losses
     assert [n for n in want_hashes if hashes.get(n) != want_hashes[n]] == []
     assert hashes.keys() == want_hashes.keys()
+
+
+# every node a step records, leaves included; the count does not depend on the batch size
+TAPE_NODES = {"end2end": 148, "finetune": 155}
+
+
+@pytest.mark.parametrize("mode", sorted(TAPE_NODES))
+def test_a_step_records_its_pinned_number_of_tape_nodes(mode):
+    """Each loss and each fused kernel is one node: a change that splits one
+    back into pieces fails here; one that fuses more lowers the pin."""
+    cfg, model, opt, sampler = _small_run(mode)
+    train_step(model, [next(sampler) for _ in range(2)], 0, cfg, opt)
+    assert len(ad.active_tape().nodes) == TAPE_NODES[mode]
 
 
 # -- checkpointing --------------------------------------------------------------------
