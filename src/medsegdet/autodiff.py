@@ -130,7 +130,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_epoch", "_node_id")
-    # numpy defers to the reflected operators, so ``array - tensor`` records
+    # numpy defers to the reflected operators, so ``array * tensor`` records
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
@@ -161,12 +161,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -179,8 +173,8 @@ class Tensor:
     def __getitem__(self, key):
         return tslice(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -236,15 +230,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _binary_data("sub", a, b, np.subtract)
-    ash, bsh, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
-    return _record(out, (a, b), lambda g: (
-        _unbroadcast(g, ash) if ra else None,
-        _unbroadcast(-g, bsh) if rb else None,
-    ))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_data("mul", a, b, np.multiply)
     ash, bsh, ad, bd = a.shape, b.shape, a.data, b.data
@@ -253,28 +238,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g * bd, ash) if ra else None,
         _unbroadcast(g * ad, bsh) if rb else None,
     ))
-
-
-def _select(name: str, a: Tensor, b: Tensor, ufunc, prefer_a) -> Tensor:
-    """Elementwise pick between ``a`` and ``b``; the gradient follows the pick."""
-    out = _binary_data(name, a, b, ufunc)
-    take_a = prefer_a(a.data, b.data)
-    ash, bsh, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
-    return _record(out, (a, b), lambda g: (
-        _unbroadcast(g * take_a, ash) if ra else None,
-        _unbroadcast(g * ~take_a, bsh) if rb else None,
-    ))
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; on ties the gradient routes to the first operand."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _select("maximum", a, b, np.maximum, np.greater_equal)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _select("minimum", a, b, np.minimum, np.less_equal)
 
 
 # -- matrix ops --------------------------------------------------------------
@@ -311,18 +274,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their first axis."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: no inputs")
     try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
+        out = np.concatenate([t.data for t in tensors])
     except ValueError:
-        shapes = [t.shape for t in tensors]
-        raise ShapeError(f"concat: incompatible shapes {shapes} on axis {axis}") from None
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    return _record(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
+        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from None
+    splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
+    return _record(out, tensors, lambda g: tuple(np.split(g, splits)))
 
 
 def _is_basic_key(key) -> bool:
@@ -373,11 +335,6 @@ def _sigmoid(x: Array) -> Array:
     np.maximum(e, x >= 0, out=e)  # the numerator: 1 for x >= 0, else e; NaN stays NaN
     e /= d
     return e
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-    return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -521,16 +478,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
 
 # -- reductions --------------------------------------------------------------
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every element, a scalar."""
     shape = a.shape
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _record(out, (a,), grad_fn)
+    return _record(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # -- resampling --------------------------------------------------------------

@@ -103,8 +103,6 @@ PRESETS = {
     },
 }
 
-# fields that fix tensor shapes; a warm start must agree on all of them
-ARCH_FIELDS = ("d_model", "n_blocks", "n_heads", "mllm_patch", "vision_patch", "vision_dim", "max_seq")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # data the model cannot take: an image or prompt that does not fit it, or
 # answers without its candidate tokens
@@ -169,8 +167,6 @@ def _jsonl_bytes(records) -> bytes:
 def cmd_datagen(args) -> int:
     if args.num_samples <= 0:
         return _fail(EXIT_USAGE, "--num-samples must be positive")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = synth_records(args.num_samples, args.seed)
     oracle = MockOracle(seed=args.seed)
     records = generate_pipeline(records, oracle)
@@ -179,6 +175,8 @@ def cmd_datagen(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     stats = dataset_stats(records)
     writes = [
         (out / "train.jsonl", _jsonl_bytes(train)),
@@ -227,13 +225,15 @@ def cmd_train(args) -> int:
 
     if args.init:
         model = _read_model(args.init)
-        for field in ARCH_FIELDS:
-            have = getattr(model.cfg, field)
-            want = getattr(cfg, field)
-            if have != want:
-                return _fail(EXIT_USAGE, f"--init architecture mismatch on {field}: {have} != {want}")
-        if model.cfg.fusion.n != cfg.fusion.n:
-            return _fail(EXIT_USAGE, "--init architecture mismatch on fusion.n")
+        # the config must build the warm start's tensors; n_heads splits d_model but fixes no shape
+        have = {name: t.shape for name, t in model.named().items()}
+        want = {name: t.shape for name, t in init_model(cfg).named().items()}
+        bad = sorted(name for name in have.keys() | want.keys() if have.get(name) != want.get(name))
+        if bad:
+            return _fail(EXIT_USAGE, f"--init architecture mismatch on tensor {bad[0]}: "
+                                     f"checkpoint {have.get(bad[0])} != config {want.get(bad[0])}")
+        if model.cfg.n_heads != cfg.n_heads:
+            return _fail(EXIT_USAGE, f"--init architecture mismatch on n_heads: {model.cfg.n_heads} != {cfg.n_heads}")
         model = replace(model, cfg=cfg)  # weights warm-started, schedule fresh
     else:
         model = init_model(cfg)
@@ -373,7 +373,7 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     mask_mix = rng.normal(size=(2, 16, 16))
 
     def mask_scalar():
-        logits = mask_decode((image_patches(images, 4), projection), h_seg, mcorners, mparams, (16, 16))
+        logits = mask_decode((image_patches(images, 4), projection), h_seg, mcorners, mparams, (16, 16), 50.0)
         return (logits * mask_mix).sum()
 
     mask_tensors = [projection, h_seg, mcorners, *mparams.named().values()]
@@ -451,6 +451,13 @@ def cmd_gradcheck(args) -> int:
 # -- argument wiring ---------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A seed argument: a nonnegative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="medsegdet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -458,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("datagen", help="generate a synthetic QA dataset")
     d.add_argument("--out", required=True)
     d.add_argument("--num-samples", type=int, required=True)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.set_defaults(func=cmd_datagen)
 
     t = sub.add_parser("train", help="train a model and write a checkpoint")
@@ -480,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     g = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--tolerance", type=float, default=1e-4)
     g.set_defaults(func=cmd_gradcheck)
     return p

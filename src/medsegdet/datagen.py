@@ -187,19 +187,15 @@ def training_ready(records: list[ImageRecord]) -> list[ImageRecord]:
 # -- splits and statistics ---------------------------------------------------------
 
 def split_dataset(
-    records: list[ImageRecord],
-    ratios: tuple[float, float, float] = (0.80, 0.10, 0.10),
-    seed: int = 0,
+    records: list[ImageRecord], seed: int = 0
 ) -> tuple[list[ImageRecord], list[ImageRecord], list[ImageRecord]]:
-    """Shuffled partition with largest-remainder sizing (within +/-1 of exact)."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios {ratios} do not sum to 1")
+    """Shuffled 80/10/10 partition with largest-remainder sizing (within +/-1 of exact)."""
     if len(records) < 3:
         raise ValueError("need at least 3 records to split")
     order = np.random.default_rng(seed).permutation(len(records))
     shuffled = [records[i] for i in order]
     n = len(records)
-    exact = [r * n for r in ratios]
+    exact = [r * n for r in (0.80, 0.10, 0.10)]
     sizes = [int(e) for e in exact]
     # hand out leftover slots by largest fractional remainder, earliest first on ties
     remainders = sorted(

@@ -20,8 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
 
-DEFAULT_SHARPNESS = 50.0
-
 # (cx, cy, w, h) @ _CORNERS = (cx - w/2, cy - h/2, cx + w/2, cy + h/2)
 _CORNERS = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                      [-0.5, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 0.5]])
@@ -107,8 +105,9 @@ def bbox_decode(h_det: Tensor, params: BBoxParams) -> Tensor:
     """(B, d) detection embeddings -> (B, 4) corners (x1, y1, x2, y2).
 
     The MLP's sigmoid outputs (cx, cy, w, h) map to corners through one
-    constant matrix, clamped to [0, 1]. Total over finite inputs: every
-    row satisfies the box invariants because clamping is monotone.
+    constant matrix, clamped to [0, 1], in one tape node. Total over
+    finite inputs: every row satisfies the box invariants because
+    clamping is monotone. A corner at exactly 0 or 1 passes its gradient.
     """
     if h_det.data.ndim != 2:
         raise ShapeError(f"bbox_decode: expected (B, d) embeddings, got {h_det.shape}")
@@ -116,26 +115,46 @@ def bbox_decode(h_det: Tensor, params: BBoxParams) -> Tensor:
         raise NonFiniteError("bbox_decode: non-finite detection embedding")
     h = ad.relu(h_det @ params.w1 + params.b1)
     h = ad.relu(h @ params.w2 + params.b2)
-    s = ad.sigmoid(h @ params.w3 + params.b3)
-    return ad.minimum(ad.maximum(s @ _CORNERS, 0.0), 1.0)
+    z = h @ params.w3 + params.b3
+    s = ad._sigmoid(z.data)
+    c = s @ _CORNERS
+    keep = (c >= 0.0) & (c <= 1.0)
+    return ad._record(
+        np.minimum(np.maximum(c, 0.0), 1.0), (z,), lambda g: (((g * keep) @ _CORNERS.T) * s * (1.0 - s),)
+    )
 
 
-def soft_box_raster(boxes: Tensor, H: int, W: int, sharpness: float = DEFAULT_SHARPNESS) -> Tensor:
+def soft_box_raster(boxes: Tensor, H: int, W: int, sharpness: float) -> Tensor:
     """B×H×W grids in (0,1): products of four sigmoid edge gates at pixel centers.
 
-    Differentiable in the (B, 4) box corners, near-binary at high sharpness.
+    One tape node, differentiable in the (B, 4) box corners, near-binary
+    at high sharpness.
     """
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
     if boxes.data.ndim != 2 or boxes.shape[1] != 4:
         raise ShapeError(f"soft_box_raster: expected (B, 4) boxes, got {boxes.shape}")
-    corners = boxes.reshape(-1, 4, 1, 1)
-    x1, y1, x2, y2 = (corners[:, k] for k in range(4))
-    xs = Tensor((np.arange(W) + 0.5).reshape(1, 1, W) / W)
-    ys = Tensor((np.arange(H) + 0.5).reshape(1, H, 1) / H)
-    fx = ad.sigmoid((xs - x1) * sharpness) * ad.sigmoid((x2 - xs) * sharpness)
-    fy = ad.sigmoid((ys - y1) * sharpness) * ad.sigmoid((y2 - ys) * sharpness)
-    return fy * fx
+    x1, y1, x2, y2 = boxes.data.T.reshape(4, -1, 1, 1)
+    xs = (np.arange(W) + 0.5).reshape(1, 1, W) / W
+    ys = (np.arange(H) + 0.5).reshape(1, H, 1) / H
+    sx1, sx2 = ad._sigmoid((xs - x1) * sharpness), ad._sigmoid((x2 - xs) * sharpness)
+    sy1, sy2 = ad._sigmoid((ys - y1) * sharpness), ad._sigmoid((y2 - ys) * sharpness)
+    fx, fy = sx1 * sx2, sy1 * sy2
+
+    def grad_fn(g):
+        gx = (g * fy).sum(axis=1, keepdims=True)  # (B, 1, W)
+        gy = (g * fx).sum(axis=2, keepdims=True)  # (B, H, 1)
+
+        def edge(g_gates, other, s):  # the gradient at one gate's input, before the sum over its axis
+            return g_gates * other * s * (1.0 - s) * sharpness
+
+        d = [
+            (-edge(gx, sx2, sx1)).sum(axis=2), (-edge(gy, sy2, sy1)).sum(axis=1),
+            edge(gx, sx1, sx2).sum(axis=2), edge(gy, sy1, sy2).sum(axis=1),
+        ]
+        return (np.concatenate(d, axis=1),)
+
+    return ad._record(fy * fx, (boxes,), grad_fn)
 
 
 def mask_decode(
@@ -144,7 +163,7 @@ def mask_decode(
     boxes: Tensor,
     params: MaskDecoderParams,
     out_hw: tuple[int, int],
-    sharpness: float = DEFAULT_SHARPNESS,
+    sharpness: float,
     use_box: bool = True,
 ) -> Tensor:
     """(B, H, W) mask logits: per cell ⟨f(b,i,j), W_p·h_seg(b)⟩ + gamma·raster(b,i,j) + b, upsampled.

@@ -456,10 +456,10 @@ def train_step(
 
 
 def run_training(
-    model: Model, referring_pool, reasoning_pool, cfg: TrainConfig, opt: OptState | None = None, log_fn=None
+    model: Model, referring_pool, reasoning_pool, cfg: TrainConfig, log_fn=None
 ) -> tuple[OptState, list[dict]]:
-    """Drive total_iters steps; returns the optimizer state and scalar history."""
-    opt = opt if opt is not None else init_opt_state(model.trainable())
+    """Drive total_iters steps from a fresh optimizer; returns its state and the scalar history."""
+    opt = init_opt_state(model.trainable())
     sampler = mixed_sampler(
         referring_pool, reasoning_pool, cfg.mix_ratio, seed=cfg.seed,
         n_candidates=cfg.fusion.n,

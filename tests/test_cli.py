@@ -1,17 +1,19 @@
 """Tests for the command-line entry points: exit codes, artifacts, determinism."""
 
+import importlib
 import inspect
 import json
 import math
 import re
+import pkgutil
 import struct
 import sys
 
 import numpy as np
 import pytest
 
+import medsegdet
 from medsegdet import autodiff as ad
-from medsegdet import losses
 from medsegdet import trainer
 from medsegdet.cli import _jsonl_bytes, _read_model, _read_split, gradcheck_suite, main
 from medsegdet.datagen import DataError, MockOracle, generate_pipeline, read_jsonl, synth_records
@@ -136,6 +138,18 @@ def test_datagen_zero_samples_is_usage_error(tmp_path):
     out = tmp_path / "data"
     assert run("datagen", "--out", out, "--num-samples", 0) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["datagen", "--out", "out", "--num-samples", "5", "--seed", "-1"], "seed must be a nonnegative integer"),
+    (["gradcheck", "--seed", "-1"], "seed must be a nonnegative integer"),
+    (["datagen", "--out", "out", "--num-samples", "2"], "need at least 3 records"),
+], ids=["datagen-seed", "gradcheck-seed", "datagen-too-few"])
+def test_bad_input_is_usage_error_and_leaves_no_directory(argv, says, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert says in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_datagen_unwritable_out_is_data_error(tmp_path):
@@ -267,7 +281,26 @@ def test_train_init_architecture_mismatch_is_usage_error(tmp_path, capsys):
     code = run("train", "--data", data, "--config", cfg, "--init", ckpt,
                "--out", tmp_path / "y.ckpt")
     assert code == 1
-    assert "d_model" in capsys.readouterr().err
+    assert "--init architecture mismatch on tensor bbox.w1: checkpoint (16, 8) != config (24, 8)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"fusion": {"n": 2, "router_hidden": 8}}, "on tensor router."),
+    ({"fusion": {"n": 3}}, "on tensor mllm."),
+    ({"n_heads": 4}, "on n_heads: 2 != 4"),
+], ids=["router_hidden", "fusion-n", "n_heads"])
+def test_train_init_into_another_architecture_is_usage_error_and_writes_nothing(overrides, named, tmp_path, capsys):
+    # a warm start that kept its tensors under a config that builds other shapes
+    # would write a checkpoint that neither eval nor a later --init can load
+    data = make_data(tmp_path)
+    ckpt = train_tiny(tmp_path, data)
+    cfg = write_config(tmp_path, name="other.json", **overrides)
+    capsys.readouterr()
+    out = tmp_path / "y.ckpt"
+    assert run("train", "--data", data, "--config", cfg, "--init", ckpt, "--out", out) == 1
+    line = one_error_line_naming(capsys, "--init architecture mismatch")
+    assert named in line
+    assert not out.exists() and not (tmp_path / "y.ckpt.log").exists()
 
 
 def test_train_nonfinite_loss_is_numeric_error(tmp_path, capsys, monkeypatch):
@@ -540,10 +573,12 @@ def test_gradcheck_fixed_seed_gives_identical_table(capsys):
 
 
 def taped_primitives():
-    """Every autodiff function, and every fused loss, that records tape nodes, i.e. calls ``_record``."""
+    """Every function of the package that records tape nodes, i.e. calls ``_record``: the
+    autodiff ops and each fused node of the heads and losses, wherever it is defined."""
+    modules = [importlib.import_module(f"medsegdet.{m.name}") for m in pkgutil.iter_modules(medsegdet.__path__)]
     return sorted(
         name
-        for module in (ad, losses)
+        for module in modules
         for name, fn in vars(module).items()
         if inspect.isfunction(fn)
         and fn.__module__ == module.__name__
@@ -554,7 +589,6 @@ def taped_primitives():
 
 @pytest.mark.parametrize("primitive", taped_primitives())
 def test_gradcheck_catches_a_vjp_off_by_a_tenth_of_a_percent(primitive, monkeypatch):
-    # maximum and minimum record through _select, so it stands for both
     record = ad._record
 
     def skewed_record(out_data, parents, grad_fn):

@@ -149,7 +149,8 @@ def test_soft_mode_gradients_reach_router_and_candidates():
     bundle = make_bundle(2, 6, seed=10, requires_grad=True, batch=2)
     out = fuse_candidates(bundle, params, cfg)
     target = np.arange(12, dtype=float).reshape(2, 6)
-    loss = ((out.h_seg - target) * (out.h_seg - target)).sum() + (out.h_det * out.h_det).sum()
+    err = out.h_seg + (-target)
+    loss = (err * err).sum() + (out.h_det * out.h_det).sum()
     ad.backward(loss)
     assert np.any(bundle.candidates.grad != 0)
     assert np.any(params.seg_w1.grad != 0)

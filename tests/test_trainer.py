@@ -691,7 +691,7 @@ def test_train_steps_reproduce_recorded_losses_and_gradients(mode):
 
 
 # every node a step records, leaves included; the count does not depend on the batch size
-TAPE_NODES = {"end2end": 148, "finetune": 155}
+TAPE_NODES = {"end2end": 126, "finetune": 133}
 
 
 @pytest.mark.parametrize("mode", sorted(TAPE_NODES))
