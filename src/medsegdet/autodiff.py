@@ -179,10 +179,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -257,12 +253,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g @ np.swapaxes(B, -1, -2), A.shape) if ra else None,
         _unbroadcast(np.swapaxes(A, -1, -2) @ g, B.shape) if rb else None,
     ))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D tensor, got {a.shape}")
-    return _record(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -497,13 +487,14 @@ def _axis_weights(n_in: int, n_out: int):
 
 
 def bilinear_upsample(a: Tensor, out_hw: tuple) -> Tensor:
-    """Bilinearly resample the last two axes to ``out_hw`` (pixel-center alignment)."""
+    """Bilinearly resample the last two axes to ``out_hw`` (pixel-center alignment);
+    at the input's own size, ``a`` itself."""
     if a.data.ndim < 2:
         raise ShapeError(f"bilinear_upsample: expected a grid of at least 2 axes, got {a.shape}")
     h, w = a.shape[-2:]
     H, W = out_hw
     if h == H and w == W:
-        return _record(a.data.copy(), (a,), lambda g: (g,))
+        return a
     i0, i1, ty = _axis_weights(h, H)
     j0, j1, tx = _axis_weights(w, W)
     ty, tx = ty[:, None], tx[None, :]

@@ -39,19 +39,19 @@ from .decoders import (
     mask_decode,
     soft_box_raster,
 )
-from .fusion import CandidateBundle, FusionConfig, fuse_candidates, init_router_params
+from .fusion import FusionConfig, fuse_candidates, init_router_params
 from .losses import LossWeights, bbox_loss, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample
 from .mllm import (
     CandidateAbsentError,
     DuplicateCandidateError,
     LmConfig,
+    PlaceholderRangeError,
     VocabSpec,
     build_sequence,
     encode_image_patches,
     encode_text,
     expand_vocabulary,
-    forward,
     forward_packed,
     image_patches,
     init_params,
@@ -104,9 +104,9 @@ PRESETS = {
 }
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# data the model cannot take: an image or prompt that does not fit it, or
-# answers without its candidate tokens
-MODEL_DATA_ERRORS = (ShapeError, CandidateAbsentError, DuplicateCandidateError)
+# data the model cannot take: an image or prompt that does not fit it, answers
+# without its candidate tokens, or text naming a candidate it does not have
+MODEL_DATA_ERRORS = (ShapeError, CandidateAbsentError, DuplicateCandidateError, PlaceholderRangeError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -304,11 +304,12 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     def check(scalar_fn, tensors, max_coords=48):
         return ad.finite_difference_check(scalar_fn, tensors, max_coords, rng)
 
-    # losses: text cross-entropy
-    logits = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
+    # losses: text cross-entropy wrt the rows and the output projection that form its logits
+    rows = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    out_proj = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
     targets = [int(t) for t in rng.integers(0, 12, size=6)]
     mask = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
-    results["loss.text_ce"] = check(lambda: text_ce_loss(logits, targets, mask), [logits])
+    results["loss.text_ce"] = check(lambda: text_ce_loss(rows, out_proj, targets, mask), [rows, out_proj])
 
     # losses: mask BCE and Dice on a batch of two logit grids
     mlogits = Tensor(rng.normal(size=(2, 6, 7)), requires_grad=True)
@@ -337,12 +338,11 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     fcfg = FusionConfig(n=3, mode="soft", router_hidden=4)
     router = init_router_params(fcfg, d=8, seed=seed + 1)
     cands = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    bundle = CandidateBundle(candidates=cands)
     mix_a = rng.normal(size=(2, 8))
     mix_b = rng.normal(size=(2, 8))
 
     def fusion_scalar():
-        fused = fuse_candidates(bundle, router, fcfg)
+        fused = fuse_candidates(cands, router, fcfg)
         return (fused.h_seg * mix_a).sum() + (fused.h_det * mix_b).sum()
 
     results["fusion.soft"] = check(fusion_scalar, [cands, *router.named().values()])
@@ -391,11 +391,10 @@ def gradcheck_suite(seed: int = 0) -> dict[str, float]:
     def lm_scalar():
         patches = encode_image_patches(lm_image, lm_cfg.patch_size, lm.patch_proj)
         seq = build_sequence(patches, prompt_ids, gen_ids, vocab)
-        _, logits = forward(seq, lm)
-        T = len(seq.token_ids)
+        P, T = seq.num_patches, len(seq.token_ids)
         targets = seq.token_ids[1:]
         ce_mask = [1.0 if t + 1 >= seq.gen_start else 0.0 for t in range(T - 1)]
-        return text_ce_loss(logits[0 : T - 1], targets, ce_mask)
+        return text_ce_loss(forward_packed([seq], lm)[P : P + T - 1], lm.out_proj, targets, ce_mask)
 
     lm_tensors = [t for t in lm.named("lm").values() if t.requires_grad]
     results["mllm.2block"] = check(lm_scalar, lm_tensors, max_coords=24)
@@ -458,6 +457,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """A gradcheck bound: a positive finite float (argparse reports float's ValueError as a usage error)."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="medsegdet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -488,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
     g.add_argument("--seed", type=_seed, default=0)
-    g.add_argument("--tolerance", type=float, default=1e-4)
+    g.add_argument("--tolerance", type=_tolerance, default=1e-4)
     g.set_defaults(func=cmd_gradcheck)
     return p
 

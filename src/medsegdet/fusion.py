@@ -17,22 +17,6 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 
-@dataclass
-class CandidateBundle:
-    """A batch's last-layer rows by role: candidates (B×n×d) and image prefix (B×P×d, or None if unread)."""
-
-    candidates: Tensor
-    h_img: Tensor | None = None
-
-    @property
-    def n(self) -> int:
-        return self.candidates.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.candidates.shape[2]
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     n: int = 2
@@ -93,46 +77,24 @@ def _router_weights(flat: Tensor, w1, b1, w2, b2) -> Tensor:
     return ad.softmax(ad.relu(flat @ w1 + b1) @ w2 + b2)
 
 
-def route(
-    bundle: CandidateBundle, params: RouterParams | None, cfg: FusionConfig
-) -> tuple[Tensor, Tensor]:
-    """Per-decoder candidate weights (B, n); each row is simplex-valued in both modes."""
-    if bundle.candidates.data.ndim != 3:
-        raise ShapeError(f"route: expected (B, n, d) candidates, got {bundle.candidates.shape}")
-    if bundle.n != cfg.n:
-        raise ShapeError(f"route: bundle has {bundle.n} candidates, config expects {cfg.n}")
-    B = bundle.candidates.shape[0]
+def fuse_candidates(candidates: Tensor, params: RouterParams | None, cfg: FusionConfig) -> FusionOutput:
+    """Route (B, n, d) candidates and fuse them: per-decoder weights (B, n), simplex-valued
+    in both modes, and the weighted sums of each sample's candidate rows."""
+    if candidates.data.ndim != 3:
+        raise ShapeError(f"fuse_candidates: expected (B, n, d) candidates, got {candidates.shape}")
+    B, n, d = candidates.shape
+    if n != cfg.n:
+        raise ShapeError(f"fuse_candidates: {n} candidates, config expects {cfg.n}")
     if cfg.mode == "hard":
-        eye = np.eye(cfg.n)
-        return Tensor(np.tile(eye[0], (B, 1))), Tensor(np.tile(eye[min(1, cfg.n - 1)], (B, 1)))
-    if params is None:
-        raise ValueError("route: soft mode requires router parameters")
-    if params.seg_w1.shape[0] != cfg.n * bundle.d:
-        raise ShapeError(
-            f"route: router expects input {params.seg_w1.shape[0]}, "
-            f"bundle provides {cfg.n * bundle.d}"
-        )
-    flat = bundle.candidates.reshape(B, cfg.n * bundle.d)
-    w_seg = _router_weights(flat, params.seg_w1, params.seg_b1, params.seg_w2, params.seg_b2)
-    w_det = _router_weights(flat, params.det_w1, params.det_b1, params.det_w2, params.det_b2)
-    return w_seg, w_det
-
-
-def fuse(bundle: CandidateBundle, w_seg: Tensor, w_det: Tensor) -> FusionOutput:
-    """Weighted sums over each sample's candidate rows, weights recorded in the output."""
-    B, n, d = bundle.candidates.shape
-    if w_seg.shape != (B, n) or w_det.shape != (B, n):
-        raise ShapeError(
-            f"fuse: weight shapes {w_seg.shape}/{w_det.shape} do not match {B} samples of n={n}"
-        )
-    h_seg = (w_seg.reshape(B, 1, n) @ bundle.candidates).reshape(B, d)
-    h_det = (w_det.reshape(B, 1, n) @ bundle.candidates).reshape(B, d)
+        w_seg, w_det = (Tensor(np.tile(np.eye(n)[i], (B, 1))) for i in (0, min(1, n - 1)))
+    elif params is None:
+        raise ValueError("fuse_candidates: soft mode requires router parameters")
+    elif params.seg_w1.shape[0] != n * d:
+        raise ShapeError(f"fuse_candidates: router expects input {params.seg_w1.shape[0]}, candidates provide {n * d}")
+    else:
+        flat = candidates.reshape(B, n * d)
+        w_seg = _router_weights(flat, params.seg_w1, params.seg_b1, params.seg_w2, params.seg_b2)
+        w_det = _router_weights(flat, params.det_w1, params.det_b1, params.det_w2, params.det_b2)
+    h_seg = (w_seg.reshape(B, 1, n) @ candidates).reshape(B, d)
+    h_det = (w_det.reshape(B, 1, n) @ candidates).reshape(B, d)
     return FusionOutput(h_seg=h_seg, h_det=h_det, w_seg=w_seg, w_det=w_det)
-
-
-def fuse_candidates(
-    bundle: CandidateBundle, params: RouterParams | None, cfg: FusionConfig
-) -> FusionOutput:
-    """route + fuse in one call."""
-    w_seg, w_det = route(bundle, params, cfg)
-    return fuse(bundle, w_seg, w_det)

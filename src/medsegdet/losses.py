@@ -63,16 +63,19 @@ class LossReport:
         }
 
 
-def text_ce_loss(logits: Tensor, target_ids, weights) -> Tensor:
-    """Weighted mean negative log-likelihood of targets under row-wise softmax.
+def text_ce_loss(h: Tensor, out_proj: Tensor, target_ids, weights) -> Tensor:
+    """Weighted mean negative log-likelihood of targets under the row-wise softmax of the logits
+    ``h @ out_proj.T`` of (T, d) rows, formed in the node from a contiguous copy of ``out_proj.T``.
 
     ``weights`` (length T) weighs each position, so 0 drops a position;
     rejecting the all-zero case keeps the mean defined.
     """
     target_ids = np.asarray(target_ids, dtype=np.intp)
-    T, V = logits.shape
+    if h.data.ndim != 2 or out_proj.data.ndim != 2 or h.shape[1] != out_proj.shape[1]:
+        raise ShapeError(f"text_ce_loss: rows {h.shape} do not fit output projection {out_proj.shape}")
+    T, V = h.shape[0], out_proj.shape[0]
     if target_ids.shape != (T,):
-        raise ShapeError(f"text_ce_loss: {T} logit rows vs targets {target_ids.shape}")
+        raise ShapeError(f"text_ce_loss: {T} rows vs targets {target_ids.shape}")
     if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= V):
         raise ValueError("text_ce_loss: target id out of vocabulary")
     weights = np.asarray(weights, dtype=np.float64)
@@ -81,7 +84,8 @@ def text_ce_loss(logits: Tensor, target_ids, weights) -> Tensor:
     count = weights.sum()
     if count == 0:
         raise ValueError("text_ce_loss: all weights are zero")
-    z = logits.data
+    x, wt = h.data, out_proj.data.T.copy()  # BLAS rounds x @ W.T, and gz.T @ x, apart from these orders
+    z = x @ wt
     rows = np.arange(T)
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
@@ -91,7 +95,12 @@ def text_ce_loss(logits: Tensor, target_ids, weights) -> Tensor:
     gw = ((1.0 / count) * weights)[:, None]
     coef = (gw / s) * e
     coef[rows, target_ids] -= gw[:, 0]
-    return ad._record((nll * weights).sum() / count, (logits,), lambda g: (g * coef,))
+
+    def grad_fn(g):
+        gz = g * coef
+        return gz @ wt.T, (x.T @ gz).T
+
+    return ad._record((nll * weights).sum() / count, (h, out_proj), grad_fn)
 
 
 def mask_loss(z: Tensor, gt: np.ndarray, w: LossWeights) -> tuple[Tensor, Tensor, Tensor]:

@@ -23,12 +23,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .fusion import CandidateBundle
 
 EOS_ID = 0
 LN_EPS = 1e-5
 
 _PLACEHOLDER_RE = re.compile(r"(<c\d+>)")
+
+
+class PlaceholderRangeError(ValueError):
+    """Text holds a ``<ck>`` marker beyond the vocabulary's candidate tokens."""
 
 
 class CandidateAbsentError(ValueError):
@@ -73,7 +76,7 @@ def encode_text(text: str, vocab: VocabSpec) -> list[int]:
         if m:
             k = int(part[2:-1])
             if not 1 <= k <= vocab.num_candidates:
-                raise ValueError(f"placeholder {part} outside candidate range")
+                raise PlaceholderRangeError(f"placeholder {part} outside candidate range 1..{vocab.num_candidates}")
             ids.append(vocab.base_size + k - 1)
         else:
             ids.extend(part.encode("utf-8"))
@@ -347,13 +350,13 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
     """Run the transformer on one sequence; returns (hidden (P+T)×d, logits T×V).
 
     The one-sequence case of ``forward_packed`` (the cache works as
-    there).  Hidden rows align 1:1 with input positions; logits cover text
-    positions only.
+    there).  Hidden rows align 1:1 with input positions; logits, off the
+    tape, cover text positions only.
     """
     hidden = forward_packed([seq], params, cache)
     P = seq.num_patches
-    logits = hidden[P : P + len(seq.token_ids)] @ params.out_proj.T
-    return hidden, logits
+    logits = hidden.data[P : P + len(seq.token_ids)] @ params.out_proj.data.T.copy()
+    return hidden, Tensor(logits)
 
 
 def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int) -> list[int]:
@@ -382,14 +385,14 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
 
 def candidate_bundles(
     seqs: list[MultimodalSequence], vocab: VocabSpec, image: bool = False
-) -> tuple[np.ndarray, Callable[[Tensor, np.ndarray], CandidateBundle]]:
-    """The packed rows the heads read (sorted), and the bundle as a function of their hidden states.
+) -> tuple[np.ndarray, Callable[[Tensor, np.ndarray], tuple[Tensor, Tensor | None]]]:
+    """The packed rows the heads read (sorted), and the heads' inputs as a function of their hidden states.
 
     The rows are each sequence's candidate rows (each id exactly once in
     the generated region) and with ``image`` its image rows, which needs
     one patch count.  The function takes a ``forward_packed`` result
-    holding the packed rows ``held`` (sorted) and gathers
-    (B, n, d) candidates, in candidate-id order, and (B, P, d) image rows.
+    holding the packed rows ``held`` (sorted) and gathers (B, n, d)
+    candidates, in candidate-id order, and (B, P, d) image rows or None.
     """
     P = seqs[0].num_patches
     cand_rows, img_rows = [], []
@@ -409,10 +412,10 @@ def candidate_bundles(
             img_rows.extend(range(off, off + P))
         off += seq.num_patches + len(seq.token_ids)
 
-    def bundle(hidden: Tensor, held: np.ndarray) -> CandidateBundle:
-        def take(rows, n):
+    def take(hidden: Tensor, held: np.ndarray) -> tuple[Tensor, Tensor | None]:
+        def rows_of(rows, n):
             return hidden[np.searchsorted(held, rows)].reshape(len(seqs), n, hidden.shape[1])
 
-        return CandidateBundle(take(cand_rows, vocab.num_candidates), take(img_rows, P) if image else None)
+        return rows_of(cand_rows, vocab.num_candidates), rows_of(img_rows, P) if image else None
 
-    return np.unique(cand_rows + img_rows), bundle
+    return np.unique(cand_rows + img_rows), take

@@ -37,7 +37,7 @@ from .decoders import (
     mask_decode,
     similarity_map,
 )
-from .fusion import CandidateBundle, FusionConfig, FusionOutput, RouterParams, fuse_candidates, init_router_params
+from .fusion import FusionConfig, FusionOutput, RouterParams, fuse_candidates, init_router_params
 from .losses import LossReport, LossWeights, bbox_loss, finite_real, mask_loss, sim_loss, text_ce_loss
 from .metrics import EvalSample, MetricReport, evaluate_samples
 from .mllm import (
@@ -329,8 +329,8 @@ def answer_ce_loss(seqs, out_proj: Tensor) -> tuple[list[int], Callable[[Tensor,
     predict an answer token (from ``gen_start`` on, never token 0).  Given a
     ``forward_packed`` result holding the packed rows ``held`` (sorted), the
     function returns the mean over sequences of each one's mean answer-token
-    cross-entropy: one gather, one logits matmul, each row weighing
-    1 / (answer tokens of its sequence) in ``text_ce_loss``.
+    cross-entropy: one gather, then ``text_ce_loss`` forms the logits, each
+    row weighing 1 / (answer tokens of its sequence).
     """
     rows, targets, weights = [], [], []
     off = 0
@@ -344,7 +344,7 @@ def answer_ce_loss(seqs, out_proj: Tensor) -> tuple[list[int], Callable[[Tensor,
         targets.extend(seq.token_ids[first:])
         weights.extend([1.0 / count] * count)
         off += seq.num_patches + T
-    return rows, lambda hidden, held: text_ce_loss(hidden[np.searchsorted(held, rows)] @ out_proj.T, targets, weights)
+    return rows, lambda hidden, held: text_ce_loss(hidden[np.searchsorted(held, rows)], out_proj, targets, weights)
 
 
 def one_image_shape(records: list[ImageRecord]) -> tuple[int, int]:
@@ -356,15 +356,15 @@ def one_image_shape(records: list[ImageRecord]) -> tuple[int, int]:
     return shape
 
 
-def _heads(model: Model, bundle: CandidateBundle, images: np.ndarray) -> tuple[FusionOutput, Tensor, Tensor]:
+def _heads(model: Model, candidates: Tensor, images: np.ndarray) -> tuple[FusionOutput, Tensor, Tensor]:
     """Fusion, the box head and the mask head, once over a batch of B samples.
 
-    ``images`` is the (B, H, W) stack the mask logits are sized to.
+    Reads (B, n, d) ``candidates``; ``images`` is the (B, H, W) stack the mask logits are sized to.
     Returns the fused embeddings, the (B, 4) box corners and the
     (B, H, W) mask logits; training and evaluation both decode through here.
     """
     cfg = model.cfg
-    fused = fuse_candidates(bundle, model.router, cfg.fusion)
+    fused = fuse_candidates(candidates, model.router, cfg.fusion)
     box = bbox_decode(fused.h_det, model.bbox)
     mlogits = mask_decode(
         (image_patches(images, cfg.vision_patch), model.vision_proj), fused.h_seg, box, model.maskdec,
@@ -390,10 +390,10 @@ def reference_maps(model: Model, batch: list[TrainSample], memo: dict | None = N
         for key, s in zip(keys, batch):
             if key not in memo:
                 seqs = [_teacher_forced(model, s, s.x_hat_txt)]
-                rows, bundle_of = candidate_bundles(seqs, model.vocab, image=True)
-                bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows), rows)
-                fused = fuse_candidates(bundle, model.router, model.cfg.fusion)
-                memo[key] = similarity_map(bundle.h_img, fused.h_seg).data[0]
+                rows, heads_of = candidate_bundles(seqs, model.vocab, image=True)
+                candidates, h_img = heads_of(forward_packed(seqs, model.lm, rows=rows), rows)
+                fused = fuse_candidates(candidates, model.router, model.cfg.fusion)
+                memo[key] = similarity_map(h_img, fused.h_seg).data[0]
     return Tensor(np.stack([memo[key] for key in keys]))
 
 
@@ -407,18 +407,18 @@ def batch_losses(model: Model, batch: list[TrainSample], sim_ref: Tensor | None 
     w = model.cfg.weights
     seqs = [_teacher_forced(model, s, s.question) for s in batch]
     txt_rows, txt_of = answer_ce_loss(seqs, model.lm.out_proj)
-    cand_rows, bundle_of = candidate_bundles(seqs, model.vocab, image=sim_ref is not None)
+    cand_rows, heads_of = candidate_bundles(seqs, model.vocab, image=sim_ref is not None)
     held = np.union1d(txt_rows, cand_rows)  # candidate rows also predict answer tokens
     hidden = forward_packed(seqs, model.lm, rows=held)
-    bundle = bundle_of(hidden, held)
+    candidates, h_img = heads_of(hidden, held)
     images = np.stack([s.record.image for s in batch])
-    fused, box, mlogits = _heads(model, bundle, images)
+    fused, box, mlogits = _heads(model, candidates, images)
     bce, dice, mask_total = mask_loss(mlogits, np.stack([s.record.mask for s in batch]), w)
     l1, giou, bbox_total = bbox_loss(box, [s.record.box.as_floats() for s in batch], w)
     txt = txt_of(hidden, held)
     report = LossReport(txt, bce, dice, l1, giou, mask=mask_total, bbox=bbox_total, total=txt + mask_total + bbox_total)
     if sim_ref is not None:
-        report.js, report.mse, report.sim = sim_loss(similarity_map(bundle.h_img, fused.h_seg), sim_ref, w)
+        report.js, report.mse, report.sim = sim_loss(similarity_map(h_img, fused.h_seg), sim_ref, w)
         report.total = report.total + report.sim
     return report
 
@@ -494,12 +494,12 @@ def _predict(model: Model, record: ImageRecord):
         generated = decode_greedy(MultimodalSequence(patches, q_ids), model.lm, min(cfg.max_gen_len, budget))
         seq = build_sequence(patches, q_ids, generated, model.vocab)
         try:
-            rows, bundle_of = candidate_bundles([seq], model.vocab)
+            rows, heads_of = candidate_bundles([seq], model.vocab)
         except (CandidateAbsentError, DuplicateCandidateError) as exc:
             log.warning("record %s scores zero: asked %r, %s", record.id, question, exc)
             return np.zeros_like(record.mask, dtype=bool), None
-        bundle = bundle_of(forward_packed([seq], model.lm, rows=rows), rows)
-        _, box, mlogits = _heads(model, bundle, record.image[None])
+        candidates, _ = heads_of(forward_packed([seq], model.lm, rows=rows), rows)
+        _, box, mlogits = _heads(model, candidates, record.image[None])
     return mlogits.data[0] > 0, BBox(*box.data[0])
 
 

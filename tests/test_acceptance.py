@@ -25,11 +25,9 @@ from medsegdet.datagen import (
 )
 from medsegdet.decoders import BBox
 from medsegdet.fusion import (
-    CandidateBundle,
     FusionConfig,
     fuse_candidates,
     init_router_params,
-    route,
 )
 from medsegdet.losses import (
     LossWeights,
@@ -233,11 +231,10 @@ def test_criterion_3_metric_oracles():
 # -- 4: fusion invariants -----------------------------------------------------------
 
 
-def _bundle(rng, n, d, requires_grad=False):
-    return CandidateBundle(
-        candidates=Tensor(rng.normal(size=(1, n, d)), requires_grad=requires_grad),
-        h_img=Tensor(rng.normal(size=(1, 5, d))),
-    )
+def _candidates(rng, n, d, requires_grad=False):
+    cands = Tensor(rng.normal(size=(1, n, d)), requires_grad=requires_grad)
+    rng.normal(size=(1, 5, d))  # five image rows, unread by fusion, drawn to keep the inputs' stream
+    return cands
 
 
 def test_criterion_4_fusion_invariants():
@@ -248,17 +245,17 @@ def test_criterion_4_fusion_invariants():
 
     simplex_ok = True
     for _ in range(1000):
-        w_seg, w_det = route(_bundle(rng, 3, d), params, cfg)
-        for wv in (w_seg.data, w_det.data):
+        fused = fuse_candidates(_candidates(rng, 3, d), params, cfg)
+        for wv in (fused.w_seg.data, fused.w_det.data):
             simplex_ok &= abs(float(wv.sum()) - 1.0) <= 1e-6 and bool((wv >= 0.0).all())
 
     one = FusionConfig(n=1, mode="soft")
     one_params = init_router_params(one, d, seed=5)
     solo_equal = True
     for _ in range(25):
-        bundle = _bundle(rng, 1, d)
-        soft = fuse_candidates(bundle, one_params, one)
-        hard = fuse_candidates(bundle, one_params, FusionConfig(n=1, mode="hard"))
+        cands = _candidates(rng, 1, d)
+        soft = fuse_candidates(cands, one_params, one)
+        hard = fuse_candidates(cands, one_params, FusionConfig(n=1, mode="hard"))
         solo_equal &= np.array_equal(soft.h_seg.data, hard.h_seg.data)
         solo_equal &= np.array_equal(soft.h_det.data, hard.h_det.data)
 
@@ -266,7 +263,7 @@ def test_criterion_4_fusion_invariants():
     ad.reset_tape()
     for t in params.named().values():
         t.requires_grad = True
-    fused = fuse_candidates(_bundle(rng, 3, d, requires_grad=True), params, hard_cfg)
+    fused = fuse_candidates(_candidates(rng, 3, d, requires_grad=True), params, hard_cfg)
     ad.backward(fused.h_seg.sum() + fused.h_det.sum())
     router_grads_zero = all(
         t.grad is None or not np.any(t.grad) for t in params.named().values()
@@ -348,9 +345,9 @@ def _batch_mask_loss(model, batch, use_box):
         q_ids = encode_text(sample.question, model.vocab)
         a_ids = encode_text(sample.answer, model.vocab) + [EOS_ID]
         seqs.append(build_sequence(patches, q_ids, a_ids, model.vocab))
-    rows, bundle_of = candidate_bundles(seqs, model.vocab)
-    bundle = bundle_of(forward_packed(seqs, model.lm, rows=rows), rows)
-    _, _, mlogits = _heads(model, bundle, np.stack([s.record.image for s in batch]))
+    rows, heads_of = candidate_bundles(seqs, model.vocab)
+    cands, _ = heads_of(forward_packed(seqs, model.lm, rows=rows), rows)
+    _, _, mlogits = _heads(model, cands, np.stack([s.record.image for s in batch]))
     return mask_loss(mlogits, np.stack([s.record.mask for s in batch]), cfg.weights)[2]
 
 

@@ -274,6 +274,54 @@ def test_train_on_answers_without_a_candidate_token_is_data_error(tmp_path, caps
     assert not out.exists()
 
 
+def rewrite_split(path, edit):
+    """Apply ``edit`` to each JSON object of a split file, in place."""
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    for obj in objs:
+        edit(obj)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+def answers_name_c3(obj):
+    for qa in obj["qa"]:
+        qa["answer"] = qa["answer"].replace("<c2>", "<c3>")
+
+
+def questions_name_c7(obj):
+    for qa in obj["qa"]:
+        qa["question"] += " <c7>"
+
+
+def label_is_c5(obj):
+    obj["label"], obj["qa"] = "<c5>", []
+
+
+@pytest.mark.parametrize("command, split, edit, placeholder", [
+    ("train", "train", answers_name_c3, "<c3>"),
+    ("train", "train", label_is_c5, "<c5>"),
+    ("eval", "val", questions_name_c7, "<c7>"),
+    ("eval", "val", label_is_c5, "<c5>"),
+], ids=["train-answer", "train-label", "eval-question", "eval-label"])
+def test_text_naming_a_candidate_the_model_lacks_is_data_error(command, split, edit, placeholder, tmp_path, capsys):
+    data = make_data(tmp_path, n=12)
+    rewrite_split(data / f"{split}.jsonl", edit)
+    out = tmp_path / "x.ckpt"
+    if command == "train":
+        mix = [0, 1] if edit is answers_name_c3 else [1, 0]
+        cfg = write_config(tmp_path, total_iters=2, warmup_iters=1, mix_ratio=mix)
+        argv = ["train", "--data", data, "--config", cfg, "--out", out]
+    else:
+        model = trainer.init_model(trainer.TrainConfig.from_dict(TINY))
+        trainer.save_checkpoint(out, model, trainer.init_opt_state(model.trainable()), iteration=0)
+        argv = ["eval", "--data", data, "--ckpt", out, "--report", tmp_path / "report.txt", "--split", split]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    line = one_error_line_naming(capsys, data / f"{split}.jsonl")
+    assert f"placeholder {placeholder} outside candidate range 1..2" in line
+    assert out.exists() == (command == "eval")  # train writes no checkpoint
+    assert not (tmp_path / "report.txt").exists() and not (tmp_path / "report.txt.samples.jsonl").exists()
+
+
 def test_train_init_architecture_mismatch_is_usage_error(tmp_path, capsys):
     data = make_data(tmp_path)
     ckpt = train_tiny(tmp_path, data)
@@ -561,8 +609,17 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
         assert float(row.split()[1]) < 1e-4
 
 
-def test_gradcheck_zero_tolerance_is_numeric_failure(capsys):
-    assert run("gradcheck", "--tolerance", 0.0) == 3
+@pytest.mark.parametrize("tolerance", ["0", "0.0", "-1", "nan", "inf", "-inf", "abc", ""])
+def test_gradcheck_tolerance_must_be_positive_and_finite(tolerance, capsys, monkeypatch):
+    # a bound no error can meet fails every unit, and one every error meets passes any tape
+    monkeypatch.setattr("medsegdet.cli.gradcheck_suite", lambda seed: pytest.fail("the suite ran"))
+    assert run("gradcheck", f"--tolerance={tolerance}") == 1
+    err = capsys.readouterr().err
+    assert "usage: medsegdet" in err and "gradcheck failed" not in err
+
+
+def test_gradcheck_tolerance_below_every_error_is_numeric_failure(capsys):
+    assert run("gradcheck", "--tolerance", 1e-300) == 3
 
 
 def test_gradcheck_fixed_seed_gives_identical_table(capsys):

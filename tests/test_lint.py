@@ -113,6 +113,40 @@ def test_package_and_perfbench_read_every_public_name_the_package_defines():
     assert unread_public_names({p.stem: p.read_text(encoding="utf-8") for p in MODULES}, readers) == []
 
 
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports: ``x`` of each ``from .x import`` and ``from . import x``."""
+    targets = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets.update([node.module] if node.module else [alias.name for alias in node.names])
+    return targets
+
+
+# Each module's package imports.  The LM hands the heads plain tensors, so mllm
+# imports no fusion; an edge added here says in its PR why the layers need it.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "autodiff": set(),
+    "cli": {"autodiff", "datagen", "decoders", "fusion", "losses", "metrics", "mllm", "trainer"},
+    "datagen": {"decoders", "metrics"},
+    "decoders": {"autodiff"},
+    "fusion": {"autodiff"},
+    "losses": {"autodiff"},
+    "metrics": {"autodiff", "decoders"},
+    "mllm": {"autodiff"},
+    "trainer": {"autodiff", "datagen", "decoders", "fusion", "losses", "metrics", "mllm"},
+}
+
+
+def test_package_imports_names_each_imported_module():
+    source = "from . import autodiff as ad\nfrom .fusion import x\nfrom numpy import y\nimport os\n"
+    assert package_imports(source) == {"autodiff", "fusion"}
+
+
+def test_the_package_import_graph_is_pinned():
+    assert {p.stem: package_imports(p.read_text(encoding="utf-8")) for p in MODULES} == IMPORT_GRAPH
+
+
 def test_unused_imports_names_each_unread_import():
     source = "from __future__ import annotations\nimport os.path\nfrom a import b as c, d\nos.sep\nd()\n"
     assert unused_imports(source) == ["c (line 3)"]

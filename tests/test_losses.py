@@ -89,21 +89,21 @@ def test_ce_forced_target_near_zero():
     tgt = [2, 5, 0]
     for t, c in enumerate(tgt):
         logits[t, c] = 50.0
-    loss = text_ce_loss(Tensor(logits), tgt, np.ones(3))
+    loss = text_ce_loss(Tensor(logits), Tensor(np.eye(8)), tgt, np.ones(3))  # identity: the rows are the logits
     assert float(loss.data) < 1e-8
 
 
 def test_ce_uniform_logits_is_log_vocab():
-    loss = text_ce_loss(Tensor(np.full((4, 16), 1.3)), [0, 5, 9, 15], np.ones(4))
+    loss = text_ce_loss(Tensor(np.full((4, 16), 1.3)), Tensor(np.eye(16)), [0, 5, 9, 15], np.ones(4))
     assert float(loss.data) == pytest.approx(np.log(16), abs=1e-12)
 
 
 def test_ce_matches_naive_oracle():
     rng = np.random.default_rng(0)
-    logits = rng.normal(scale=3, size=(6, 11))
+    h, out_proj = rng.normal(size=(6, 5)), rng.normal(scale=1.5, size=(11, 5))
     tgt = rng.integers(0, 11, size=6)
-    got = float(text_ce_loss(Tensor(logits), tgt, np.ones(6)).data)
-    assert got == pytest.approx(naive_ce(logits, tgt), abs=1e-12)
+    got = float(text_ce_loss(Tensor(h), Tensor(out_proj), tgt, np.ones(6)).data)
+    assert got == pytest.approx(naive_ce(h @ out_proj.T, tgt), abs=1e-12)
 
 
 def test_ce_mask_drops_positions():
@@ -111,28 +111,34 @@ def test_ce_mask_drops_positions():
     logits = rng.normal(size=(4, 7))
     tgt = [1, 2, 3, 4]
     mask = [1, 0, 0, 1]
-    got = float(text_ce_loss(Tensor(logits), tgt, mask).data)
+    got = float(text_ce_loss(Tensor(logits), Tensor(np.eye(7)), tgt, mask).data)
     assert got == pytest.approx(naive_ce(logits, tgt, mask), abs=1e-12)
 
 
 def test_ce_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1], [0, 0])
-    with pytest.raises(ValueError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 9], [1, 1])
+    h, out_proj = Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="all weights are zero"):
+        text_ce_loss(h, out_proj, [0, 1], [0, 0])
+    with pytest.raises(ValueError, match="out of vocabulary"):
+        text_ce_loss(h, out_proj, [0, 4], [1, 1])
     with pytest.raises(ShapeError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1, 2], [1, 1, 1])
+        text_ce_loss(h, out_proj, [0, 1, 2], [1, 1, 1])
     with pytest.raises(ShapeError):
-        text_ce_loss(Tensor(np.zeros((2, 4))), [0, 1], [1, 1, 1])
+        text_ce_loss(h, out_proj, [0, 1], [1, 1, 1])
+    with pytest.raises(ShapeError, match="do not fit output projection"):
+        text_ce_loss(h, Tensor(np.zeros((4, 2))), [0, 1], [1, 1])
+    with pytest.raises(ShapeError, match="do not fit output projection"):
+        text_ce_loss(Tensor(np.zeros(3)), out_proj, [0], [1])
 
 
 def test_ce_gradcheck():
     ad.reset_tape()
     rng = np.random.default_rng(2)
-    logits = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    h = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out_proj = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     tgt = [4, 0, 2]
     err = ad.finite_difference_check(
-        lambda: text_ce_loss(logits, tgt, np.ones(3)), [logits], max_coords_per_param=18
+        lambda: text_ce_loss(h, out_proj, tgt, [1.0, 0.5, 2.0]), [h, out_proj], max_coords_per_param=24
     )
     assert err < 1e-4
 
@@ -376,18 +382,18 @@ def composed_sim_loss(pred, ref, w):
 def test_each_loss_records_one_tape_node():
     rng = np.random.default_rng(17)
     box = [[0.2, 0.3, 0.6, 0.7], [0.1, 0.1, 0.5, 0.4]]
-    cases = [
-        (lambda x: text_ce_loss(x, [1, 0, 3], np.ones(3)), rng.normal(size=(3, 5))),
+    cases = [  # text CE forms its logits from the rows and the output projection
+        (lambda h, w: text_ce_loss(h, w, [1, 0, 3], np.ones(3)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))),
         (lambda x: mask_loss(x, rng.uniform(size=(2, 4, 4)) > 0.5, W)[2], rng.normal(size=(2, 4, 4))),
         (lambda x: bbox_loss(x, box[::-1], W)[2], box),
         (lambda x: sim_loss(x, Tensor(rng.normal(size=(2, 6))), W)[2], rng.normal(size=(2, 6))),
     ]
-    for loss_fn, data in cases:
+    for loss_fn, *data in cases:
         tape = ad.reset_tape()
-        x = Tensor(data, requires_grad=True)
-        loss = loss_fn(x)
-        assert [n.tensor for n in tape.nodes] == [x, loss]
-        assert tape.nodes[1].parent_ids == (0,)
+        xs = [Tensor(d, requires_grad=True) for d in data]
+        loss = loss_fn(*xs)
+        assert [n.tensor for n in tape.nodes] == [*xs, loss]
+        assert tape.nodes[-1].parent_ids == tuple(range(len(xs)))
 
 
 def loss_and_grad(loss_fn, x, target, w):
@@ -433,24 +439,38 @@ def test_bbox_loss_matches_its_tape_composition_at_ties(pred, gt):
         np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-15)
 
 
+def composed_answer_ce(h, out_proj, target_ids, weights):
+    """The answer loss as the tape composed it: logits ``h @ transpose(out_proj)``, then CE."""
+    return composed_text_ce(h @ taped(lambda d: d.T.copy(), lambda g, d: (g.T,), out_proj), target_ids, weights)
+
+
 def test_text_ce_loss_is_bitwise_its_tape_composition():
+    # gather -> transpose -> matmul -> CE, as the answer loss ran before it formed its logits in one
+    # node; CE itself is bitwise ``composed_text_ce``.  On OpenBLAS, h @ W.T rounds apart from the
+    # transpose's copy at 40 rows, and gz.T @ h apart from (h.T @ gz).T at 148
     rng = np.random.default_rng(15)
-    for T, V in ((1, 2), (7, 11), (40, 258)):
-        logits = rng.normal(scale=4.0, size=(T, V))
-        logits[0, :2] = [60.0, -60.0]
+    for T, d, V, zeros in ((1, 1, 2, False), (3, 2, 5, True), (7, 4, 11, False), (40, 64, 258, True),
+                           (40, 64, 258, False), (148, 64, 258, False)):
+        hidden_data = rng.normal(size=(T + 3, d))
+        proj_data = rng.normal(scale=d**-0.5 * 3, size=(V, d))
+        rows = np.sort(rng.choice(T + 3, size=T, replace=False))
+        hidden_data[rows[0]] *= 30.0  # logits far apart: exp underflows in that row
         tgt = rng.integers(0, V, size=T)
         weights = rng.uniform(size=T) * (rng.uniform(size=T) > 0.3)
         weights[0] = 0.25
+        if zeros:
+            weights[1:] = 0.0  # one position left: every other row's gradient is zero
         results = []
-        for loss_fn in (text_ce_loss, composed_text_ce):
+        for loss_fn in (text_ce_loss, composed_answer_ce):
             ad.reset_tape()
-            t = Tensor(logits, requires_grad=True)
-            loss = loss_fn(t, tgt, weights)
+            hidden, out_proj = Tensor(hidden_data, requires_grad=True), Tensor(proj_data, requires_grad=True)
+            loss = loss_fn(hidden[rows], out_proj, tgt, weights)
             ad.backward(loss)
-            results.append((float(loss.data), t.grad))
-        (got, got_grad), (want, want_grad) = results
-        assert got == want
-        assert np.array_equal(got_grad, want_grad)
+            results.append((float(loss.data), hidden.grad, out_proj.grad))
+        (got, *got_grads), (want, *want_grads) = results
+        assert got == want, (T, d, V)
+        for g, w in zip(got_grads, want_grads):
+            assert np.array_equal(g, w), (T, d, V)
 
 
 def test_sim_loss_matches_its_tape_composition():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import medsegdet.autodiff as ad
 from medsegdet.autodiff import ShapeError, Tensor
+from medsegdet.losses import text_ce_loss
 from medsegdet.mllm import (
     EOS_ID,
     CacheGradError,
@@ -16,6 +17,7 @@ from medsegdet.mllm import (
     LmConfig,
     ModelParams,
     MultimodalSequence,
+    PlaceholderRangeError,
     VocabSpec,
     build_sequence,
     decode_greedy,
@@ -49,8 +51,10 @@ def test_encode_text_maps_placeholders_to_candidate_ids():
 
 
 def test_encode_text_rejects_out_of_range_placeholder():
-    with pytest.raises(ValueError):
+    with pytest.raises(PlaceholderRangeError, match="placeholder <c3> outside candidate range 1..2"):
         encode_text("<c3>", VocabSpec(base_size=256, num_candidates=2))
+    with pytest.raises(PlaceholderRangeError):
+        encode_text("a <c0>", VocabSpec(base_size=256, num_candidates=2))
 
 
 # -- patch encoding -----------------------------------------------------------
@@ -155,16 +159,22 @@ def test_forward_gradcheck():
     patches = rand_patches(2, 8, seed=12)
     seq = MultimodalSequence(patches, [1, 4, 2])
     rng = np.random.default_rng(13)
-    c1 = rng.normal(size=(3, 12))
     c2 = rng.normal(size=(5, 8))
 
+    targets, weights = [4, 2, 0], [1.0, 0.5, 2.0]
+
     def f():
-        hidden, logits = forward(seq, params)
-        return (ad.softmax(logits) * c1).sum() + (hidden * c2).sum()
+        # forward's logits are off the tape: the trained ones form inside text_ce_loss
+        hidden, _ = forward(seq, params)
+        return text_ce_loss(hidden[2:5], params.out_proj, targets, weights) * 3.0 + (hidden * c2).sum()
 
     leaves = [t for t in params.named().values() if t.requires_grad]
     err = ad.finite_difference_check(f, leaves, max_coords_per_param=4)
     assert err < 1e-4
+    tape = ad.reset_tape()
+    hidden, logits = forward(seq, params)
+    assert not logits.requires_grad and tape.nodes[-1].tensor is hidden
+    np.testing.assert_array_equal(logits.data, hidden.data[2:] @ params.out_proj.data.T.copy())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -371,9 +381,9 @@ def expanded_small(seed=14):
 
 
 def extract(hidden, seq, vocab):
-    """The one-sequence batch of ``candidate_bundles``, image rows included, from every row."""
-    _, bundle_of = candidate_bundles([seq], vocab, image=True)
-    return bundle_of(hidden, np.arange(hidden.shape[0]))
+    """The one-sequence batch of ``candidate_bundles``, (candidates, image rows), from every row."""
+    _, heads_of = candidate_bundles([seq], vocab, image=True)
+    return heads_of(hidden, np.arange(hidden.shape[0]))
 
 
 def test_extract_candidate_rows_match_hidden():
@@ -382,11 +392,11 @@ def test_extract_candidate_rows_match_hidden():
     patches = rand_patches(2, 8, seed=15)
     seq = build_sequence(patches, [1, 2, 3], [4, 5, 16, 17, EOS_ID], vocab)
     hidden, _ = forward(seq, params)
-    bundle = extract(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[2 + 5])
-    np.testing.assert_array_equal(bundle.candidates.data[0, 1], hidden.data[2 + 6])
-    np.testing.assert_array_equal(bundle.h_img.data[0], hidden.data[:2])
-    assert bundle.candidates.shape == (1, 2, 8)
+    cands, h_img = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(cands.data[0, 0], hidden.data[2 + 5])
+    np.testing.assert_array_equal(cands.data[0, 1], hidden.data[2 + 6])
+    np.testing.assert_array_equal(h_img.data[0], hidden.data[:2])
+    assert cands.shape == (1, 2, 8)
 
 
 def test_extract_orders_by_candidate_id_not_position():
@@ -394,9 +404,9 @@ def test_extract_orders_by_candidate_id_not_position():
     params = expanded_small(seed=16)
     seq = build_sequence(no_patches(8), [1], [17, 9, 16], vocab)
     hidden, _ = forward(seq, params)
-    bundle = extract(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[3])  # id 16
-    np.testing.assert_array_equal(bundle.candidates.data[0, 1], hidden.data[1])  # id 17
+    cands, _ = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(cands.data[0, 0], hidden.data[3])  # id 16
+    np.testing.assert_array_equal(cands.data[0, 1], hidden.data[1])  # id 17
 
 
 def test_extract_candidate_absent():
@@ -422,8 +432,8 @@ def test_prompt_region_candidates_ignored():
     params = expanded_small(seed=19)
     seq = build_sequence(no_patches(8), [16, 17], [16, 17], vocab)
     hidden, _ = forward(seq, params)
-    bundle = extract(hidden, seq, vocab)
-    np.testing.assert_array_equal(bundle.candidates.data[0, 0], hidden.data[2])
+    cands, _ = extract(hidden, seq, vocab)
+    np.testing.assert_array_equal(cands.data[0, 0], hidden.data[2])
 
 
 def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
@@ -435,21 +445,21 @@ def test_candidate_bundles_of_packed_sequences_stack_each_ones_rows():
     ]
     hidden = forward_packed(seqs, params)
     offsets = np.cumsum([0] + [seq.num_patches + len(seq.token_ids) for seq in seqs])
-    rows, bundle_of = candidate_bundles(seqs, vocab, image=True)
+    rows, heads_of = candidate_bundles(seqs, vocab, image=True)
     assert rows.tolist() == [0, 1, 2 + 2, 2 + 4, offsets[1], offsets[1] + 1, offsets[1] + 2 + 2, offsets[1] + 2 + 4]
     every = np.arange(hidden.shape[0])
-    bundle = bundle_of(hidden, every)
-    assert bundle.candidates.shape == (2, 2, 8) and bundle.h_img.shape == (2, 2, 8)
+    cands, h_img = heads_of(hidden, every)
+    assert cands.shape == (2, 2, 8) and h_img.shape == (2, 2, 8)
     for i, seq in enumerate(seqs):
         own = hidden.data[offsets[i] : offsets[i + 1]]
-        np.testing.assert_array_equal(bundle.candidates.data[i], extract(Tensor(own), seq, vocab).candidates.data[0])
-        np.testing.assert_array_equal(bundle.h_img.data[i], own[:2])
+        np.testing.assert_array_equal(cands.data[i], extract(Tensor(own), seq, vocab)[0].data[0])
+        np.testing.assert_array_equal(h_img.data[i], own[:2])
     # from a pass that holds just the rows read: the same rows, and no image rows unless asked
-    part = bundle_of(forward_packed(seqs, params, rows=rows), rows)
-    np.testing.assert_allclose(part.candidates.data, bundle.candidates.data, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(part.h_img.data, bundle.h_img.data, rtol=0, atol=1e-12)
+    part_cands, part_img = heads_of(forward_packed(seqs, params, rows=rows), rows)
+    np.testing.assert_allclose(part_cands.data, cands.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(part_img.data, h_img.data, rtol=0, atol=1e-12)
     cand_rows, cands_of = candidate_bundles(seqs, vocab)
-    assert cand_rows.tolist() == rows[[2, 3, 6, 7]].tolist() and cands_of(hidden, every).h_img is None
+    assert cand_rows.tolist() == rows[[2, 3, 6, 7]].tolist() and cands_of(hidden, every)[1] is None
     mixed = [seqs[0], build_sequence(no_patches(8), [4], [16, 17], vocab)]
     with pytest.raises(ShapeError, match="2 and 0 image patches"):
         candidate_bundles(mixed, vocab, image=True)
