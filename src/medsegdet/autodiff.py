@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every trainable component in this package is built from the operations in
-this module.  The design is define-by-run: each forward pass records nodes
-onto a per-thread tape (creation order is topological order), and
-``backward`` sweeps the tape in reverse.  Only tensors that require grad
+Every trainable component in this package records onto this module's
+tape, through its operations or as a fused node of its own (``_record``
+with an analytic VJP).  The untaped numpy kernels of layer norm and packed
+attention, forward and VJP, serve the LM's sublayer nodes.  The design is
+define-by-run: each forward pass records nodes onto a per-thread tape
+(creation order is topological order), and ``backward`` sweeps the tape
+in reverse.  Only tensors that require grad
 are recorded: a constant operand (a mask, a target, a frozen feature grid,
 a Python scalar) gets no node, and the binary ops skip its vector-Jacobian
 product.  A central finite-difference oracle (``finite_difference_check``)
@@ -356,35 +359,27 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), grad_fn)
 
 
-def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
+# -- shared kernels of the LM's sublayer nodes (``mllm``) --------------------------
+
+def _layer_norm(x: Array, g: Array, b: Array, eps: float) -> tuple[Array, Array, Array]:
     """Normalize each row over the last axis to zero mean and unit variance,
-    then scale by ``g`` and shift by ``b``; one node with an analytic VJP."""
+    then scale by ``g`` and shift by ``b``; returns (output, xhat, rstd), the
+    last two for ``_layer_norm_vjp``."""
     d = x.shape[-1]
-    if g.shape != (d,) or b.shape != (d,):
-        raise ShapeError(f"layer_norm: gain {g.shape} and bias {b.shape} do not match rows of {x.shape}")
     # sum / d is np.mean's arithmetic without its Python wrapper
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xc = x - x.sum(axis=-1, keepdims=True) / d
     rstd = ((xc * xc).sum(axis=-1, keepdims=True) / d + eps) ** -0.5
     xhat = xc * rstd
-    gd = g.data
-    lead = tuple(range(x.data.ndim - 1))
-    rx, rg, rb = x.requires_grad, g.requires_grad, b.requires_grad
+    return xhat * g + b, xhat, rstd
 
-    def grad_fn(gout):
-        dx = None
-        if rx:
-            gx = gout * gd
-            dx = rstd * (
-                gx - gx.sum(axis=-1, keepdims=True) / d
-                - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
-            )
-        return (
-            dx,
-            (gout * xhat).sum(axis=lead) if rg else None,
-            gout.sum(axis=lead) if rb else None,
-        )
 
-    return _record(xhat * gd + b.data, (x, g, b), grad_fn)
+def _layer_norm_vjp(gout: Array, xhat: Array, rstd: Array, g: Array) -> tuple[Array, Array, Array]:
+    """The gradients of ``_layer_norm``'s input, gain and bias for the output gradient ``gout``."""
+    d = xhat.shape[-1]
+    lead = tuple(range(xhat.ndim - 1))
+    gx = gout * g
+    dx = rstd * (gx - gx.sum(axis=-1, keepdims=True) / d - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d))
+    return dx, (gout * xhat).sum(axis=lead), gout.sum(axis=lead)
 
 
 def _split_heads(rows: Array, n_heads: int) -> Array:
@@ -392,27 +387,26 @@ def _split_heads(rows: Array, n_heads: int) -> Array:
     return rows.reshape(rows.shape[0], n_heads, rows.shape[1] // n_heads).transpose(1, 0, 2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=None) -> Tensor:
-    """Multi-head softmax attention over sequences packed row-wise, in one node.
+def _attention(Q: Array, K: Array, V: Array, segments, n_heads: int, queries=None) -> tuple[Array, list]:
+    """Multi-head softmax attention over packed sequences: (output rows, state for ``_attention_vjp``).
 
     ``segments`` lists ``(P, T, cached)`` per sequence, in row order: the
-    sequence owns ``cached + P + T`` rows of ``k`` and ``v``, its cached
+    sequence owns ``cached + P + T`` rows of ``K`` and ``V``, its cached
     rows first.  ``queries`` lists per segment the positions (among its
-    ``P + T`` new rows; default all, in order) of its rows of ``q``, which
+    ``P + T`` new rows; default all, in order) of its rows of ``Q``, which
     holds them segment after segment.  A query at position ``pos`` sees
     every cached row, its own sequence's ``P`` image-prefix rows and its
     text rows up to ``pos``, never another sequence: each segment's mask
     is built from index comparisons on the fly.
     """
     queries = [np.arange(P + T) for P, T, _ in segments] if queries is None else queries
-    Q, K, V = q.data, k.data, v.data
     n_q = sum(len(pos) for pos in queries)
     n_k = sum(c + P + T for P, T, c in segments)
     if Q.ndim != 2 or Q.shape[1] % n_heads or Q.shape[0] != n_q or len(queries) != len(segments) or not (
         K.shape == V.shape == (n_k, Q.shape[1])
     ):
         raise ShapeError(
-            f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {n_heads} heads "
+            f"attention: q {Q.shape}, k {K.shape}, v {V.shape} do not fit {n_heads} heads "
             f"and segments of {n_q} query / {n_k} key rows"
         )
     scale = (Q.shape[1] // n_heads) ** -0.5
@@ -442,28 +436,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int, queries=N
         np.matmul(w, _split_heads(V[ks], n_heads), out=_split_heads(out[qs], n_heads))
         spans.append((qs, ks, w))
         qo, ko = qo + S, ko + M
-    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    return out, spans
 
-    def grad_fn(g):
-        dq = np.empty_like(Q) if rq else None
-        dk = np.empty_like(K) if rk else None
-        dv = np.empty_like(V) if rv else None
-        for qs, ks, w in spans:
-            go = _split_heads(g[qs], n_heads)
-            if rv:
-                np.matmul(w.transpose(0, 2, 1), go, out=_split_heads(dv[ks], n_heads))
-            if rq or rk:
-                ds = go @ _split_heads(V[ks], n_heads).transpose(0, 2, 1)
-                ds -= (ds * w).sum(axis=-1, keepdims=True)
-                ds *= w
-                ds *= scale
-                if rq:
-                    np.matmul(ds, _split_heads(K[ks], n_heads), out=_split_heads(dq[qs], n_heads))
-                if rk:
-                    np.matmul(ds.transpose(0, 2, 1), _split_heads(Q[qs], n_heads), out=_split_heads(dk[ks], n_heads))
-        return (dq, dk, dv)
 
-    return _record(out, (q, k, v), grad_fn)
+def _attention_vjp(g: Array, Q: Array, K: Array, V: Array, spans: list, n_heads: int) -> tuple[Array, Array, Array]:
+    """The gradients of ``_attention``'s Q, K and V for the output gradient ``g``."""
+    scale = (Q.shape[1] // n_heads) ** -0.5
+    dq, dk, dv = np.empty_like(Q), np.empty_like(K), np.empty_like(V)
+    for qs, ks, w in spans:
+        go = _split_heads(g[qs], n_heads)
+        np.matmul(w.transpose(0, 2, 1), go, out=_split_heads(dv[ks], n_heads))
+        ds = go @ _split_heads(V[ks], n_heads).transpose(0, 2, 1)
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= scale
+        np.matmul(ds, _split_heads(K[ks], n_heads), out=_split_heads(dq[qs], n_heads))
+        np.matmul(ds.transpose(0, 2, 1), _split_heads(Q[qs], n_heads), out=_split_heads(dk[ks], n_heads))
+    return dq, dk, dv
 
 
 # -- reductions --------------------------------------------------------------

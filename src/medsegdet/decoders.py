@@ -191,7 +191,10 @@ def mask_decode(
     if params.w_p.shape[1] != dim:
         raise ShapeError(f"mask_decode: feature dim {dim} does not match W_p {params.w_p.shape}")
     q = proj @ (h_seg @ params.w_p).reshape(B, dim, 1)  # (B, p², 1)
-    dots = (Tensor(patches.reshape(B, Hf * Wf, p2)) @ q).reshape(B, Hf, Wf)
+    # P·q in one node; at p² = 1, P * q + 0.0 (-0.0 -> +0.0) is bitwise the k = 1 matmul
+    P = patches.reshape(B, Hf * Wf, p2)
+    dots = (P * q.data + 0.0 if p2 == 1 else P @ q.data).reshape(B, Hf, Wf)
+    dots = ad._record(dots, (q,), lambda g: (np.swapaxes(P, -1, -2) @ g.reshape(B, Hf * Wf, 1),))
     if use_box:
         logits_lr = dots + params.gamma * soft_box_raster(boxes, Hf, Wf, sharpness) + params.b
     else:

@@ -6,11 +6,12 @@ the perception pipeline needs: last-layer hidden states, logits over an
 expandable vocabulary, greedy decoding (each row fed once, through a
 per-block key/value cache), and candidate-token extraction.  A batch of
 sequences runs as one row matrix (``forward_packed``, no padding): every
-layer sees each row once, one attention node per block keeps each
-sequence to its own rows, and the last block computes just the rows its
-caller reads, named in ascending order (the losses: answer predictors,
-candidates, image rows).  Text is UTF-8 bytes plus ``<ck>`` candidate
-markers; nothing decodes it back, as the heads read hidden states.
+layer sees each row once, attention keeps each sequence to its own rows,
+and the last block computes just the rows its caller reads, named in
+ascending order (the losses: answer predictors, candidates, image rows).
+Each block records two tape nodes, its attention and FFN sublayers.
+Text is UTF-8 bytes plus ``<ck>`` candidate markers; nothing decodes it
+back, as the heads read hidden states.
 """
 
 from __future__ import annotations
@@ -262,13 +263,74 @@ class KVCache:
         self.rows = 0
         self.keys = np.empty((cfg.n_blocks, cfg.max_seq, cfg.d_model))
         self.values = np.empty_like(self.keys)
+        self.out_t = None  # forward's contiguous out_proj.T, copied once per decode
 
-    def extend(self, block: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, block: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store the new rows' keys and values; return those of all rows."""
         end = self.rows + k.shape[0]
-        self.keys[block, self.rows : end] = k.data
-        self.values[block, self.rows : end] = v.data
-        return Tensor(self.keys[block, :end]), Tensor(self.values[block, :end])
+        self.keys[block, self.rows : end] = k
+        self.values[block, self.rows : end] = v
+        return self.keys[block, :end], self.values[block, :end]
+
+
+def attention_sublayer(x: Tensor, blk: BlockParams, segments, n_heads: int, cache: KVCache | None = None,
+                       block: int = 0, rows=None, queries=None) -> Tensor:
+    """``x + attention(LN1(x)·Wq, LN1(x)·Wk, LN1(x)·Wv)·Wo`` over packed rows, one tape node.
+
+    ``segments`` and ``queries`` are as ``autodiff._attention`` takes them;
+    only ``rows`` (sorted, distinct) take queries, ``Wo`` and the residual.
+    A ``cache`` (no grad) takes the new keys and values at ``block`` and
+    gives back every cached row's.  Forward and VJP are the op-by-op
+    composition's arithmetic, in its order, so the bits are its bits.
+    """
+    X, g1, Wq, Wk, Wv, Wo = (t.data for t in (x, blk.ln1_g, blk.wq, blk.wk, blk.wv, blk.wo))
+    h, xhat, rstd = ad._layer_norm(X, g1, blk.ln1_b.data, LN_EPS)
+    K, V = h @ Wk, h @ Wv
+    if cache is not None:
+        K, V = cache.extend(block, K, V)
+    hq, res = (h, X) if rows is None else (h[rows], X[rows])
+    Q = hq @ Wq
+    att, spans = ad._attention(Q, K, V, segments, n_heads, queries)
+    out = att @ Wo
+    out += res
+
+    def grad_fn(g):
+        dq, dk, dv = ad._attention_vjp(g @ Wo.T, Q, K, V, spans, n_heads)
+        dh, dres = dq @ Wq.T, g
+        if rows is not None:  # scattered as the row gather's VJP does (-0.0 becomes +0.0)
+            z, dres = np.zeros(h.shape), np.zeros(X.shape)
+            z[rows], dres[rows] = dh + 0.0, g + 0.0
+            dh = z
+        dh += dv @ Wv.T
+        dh += dk @ Wk.T
+        dx, dg1, db1 = ad._layer_norm_vjp(dh, xhat, rstd, g1)
+        dx += dres
+        return (dx, dg1, db1, hq.T @ dq, h.T @ dk, h.T @ dv, att.T @ g)
+
+    return ad._record(out, (x, blk.ln1_g, blk.ln1_b, blk.wq, blk.wk, blk.wv, blk.wo), grad_fn)
+
+
+def ffn_sublayer(x: Tensor, blk: BlockParams) -> Tensor:
+    """``x + relu(LN2(x)·W1 + b1)·W2 + b2``, one tape node, with the op-by-op
+    composition's arithmetic in its order; the VJP masks in place."""
+    X, g2, W1, W2 = (t.data for t in (x, blk.ln2_g, blk.w1, blk.w2))
+    ln, xhat, rstd = ad._layer_norm(X, g2, blk.ln2_b.data, LN_EPS)
+    h = ln @ W1
+    h += blk.b1.data
+    np.fmax(h, 0.0, out=h)  # relu: NaN -> 0, as h > 0 is false there
+    h += 0.0  # -0.0 -> +0.0
+    out = h @ W2
+    out += X
+    out += blk.b2.data
+
+    def grad_fn(g):
+        dh = g @ W2.T
+        dh *= h > 0
+        dx, dg2, db2 = ad._layer_norm_vjp(dh @ W1.T, xhat, rstd, g2)
+        dx += g
+        return (dx, dg2, db2, ln.T @ dh, dh.sum(axis=(0,)), h.T @ g, g.sum(axis=(0,)))
+
+    return ad._record(out, (x, blk.ln2_g, blk.ln2_b, blk.w1, blk.b1, blk.w2, blk.b2), grad_fn)
 
 
 def forward_packed(
@@ -278,16 +340,17 @@ def forward_packed(
 
     The sequences' rows follow one another in order, each aligned 1:1
     with its positions (image patches, then tokens).  Nothing is padded:
-    each layer sees the ΣSᵢ rows once, and the attention node keeps every
+    each layer sees the ΣSᵢ rows once, and attention keeps every
     sequence to its own rows, so a sequence's rows do not depend on the
-    others.  The result holds every packed row, or just ``rows`` (packed
-    indices, sorted and distinct; ShapeError otherwise): the last block
-    still takes keys and values from every row, but runs its queries,
-    ``wo``, the residual, LN2 and the FFN on those rows only.  With a ``cache`` (one sequence,
-    under ``no_grad`` only), ``seqs`` holds just the rows not fed yet, and
-    only an empty cache takes image patches.  The new rows take the next
-    positions, see every cached row and are causal among themselves;
-    their keys and values join the cache.
+    others.  Each block records two nodes, ``attention_sublayer`` and
+    ``ffn_sublayer``.  The result holds every packed row, or just
+    ``rows`` (packed indices, sorted and distinct; ShapeError otherwise):
+    the last block still takes keys and values from every row, but runs
+    its queries, ``wo``, the residual and the FFN on those rows only.
+    With a ``cache`` (one sequence, under ``no_grad`` only), ``seqs``
+    holds just the rows not fed yet, and only an empty cache takes image
+    patches.  The new rows take the next positions, see every cached row
+    and are causal among themselves; their keys and values join the cache.
     """
     cfg = params.cfg
     n = 0 if cache is None else cache.rows
@@ -295,24 +358,24 @@ def forward_packed(
         raise ShapeError("forward_packed: no sequences")
     if cache is not None:
         if ad.is_grad_enabled():
-            raise CacheGradError("forward: a KV cache carries no gradient; decode under no_grad")
+            raise CacheGradError("forward_packed: a KV cache carries no gradient; decode under no_grad")
         if len(seqs) != 1:
             raise ShapeError(f"forward_packed: a KV cache holds one sequence, got {len(seqs)}")
     # one gather reads token rows from tok_emb and patch rows from the
     # patches stacked under it
     tokens = [t for seq in seqs for t in seq.token_ids]
     if tokens and (min(tokens) < 0 or max(tokens) >= params.vocab_size):
-        raise ValueError("forward: token id out of vocabulary")
+        raise ValueError("forward_packed: token id out of vocabulary")
     segments, ids, positions, patches = [], [], [], []
     patch_row = params.vocab_size
     for seq in seqs:
         P, T = seq.num_patches, len(seq.token_ids)
         if T == 0 and P == 0:
-            raise ShapeError("forward: empty sequence")
+            raise ShapeError("forward_packed: empty sequence")
         if n and P:
-            raise ShapeError(f"forward: {P} image patches after {n} cached rows")
+            raise ShapeError(f"forward_packed: {P} image patches after {n} cached rows")
         if n + P + T > cfg.max_seq:
-            raise ShapeError(f"forward: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
+            raise ShapeError(f"forward_packed: sequence length {n + P + T} exceeds max_seq {cfg.max_seq}")
         segments.append((P, T, n))
         ids.extend(range(patch_row, patch_row + P))
         ids.extend(seq.token_ids)
@@ -326,21 +389,17 @@ def forward_packed(
     queries = None
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
-        if (np.diff(rows) <= 0).any():  # attention takes each sequence's queries together, in order
-            raise ShapeError("forward_packed: rows must be sorted and distinct")
-        cut = np.searchsorted(rows, offsets)
+        if (np.diff(rows) <= 0).any() or (rows.size and (rows[0] < 0 or rows[-1] >= offsets[-1])):
+            raise ShapeError(f"forward_packed: rows must be sorted and distinct, in 0..{offsets[-1] - 1}")
+        cut = np.searchsorted(rows, offsets)  # attention takes each sequence's queries together, in order
         queries = [rows[a:b] - o for a, b, o in zip(cut, cut[1:], offsets)]
+        if not params.blocks:
+            x = x[rows]
     last = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
-        h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b, LN_EPS)
-        k, v = h @ blk.wk, h @ blk.wv
-        if cache is not None:
-            k, v = cache.extend(i, k, v)
-        if i == last and queries is not None:
-            x, h = x[rows], h[rows]
-        x = x + ad.attention(h @ blk.wq, k, v, segments, cfg.n_heads, queries if i == last else None) @ blk.wo
-        h = ad.relu(ad.layer_norm(x, blk.ln2_g, blk.ln2_b, LN_EPS) @ blk.w1 + blk.b1)
-        x = x + h @ blk.w2 + blk.b2
+        subset = (rows, queries) if i == last else (None, None)
+        x = attention_sublayer(x, blk, segments, cfg.n_heads, cache, i, *subset)
+        x = ffn_sublayer(x, blk)
     if cache is not None:
         cache.rows = n + int(offsets[-1])
     return x
@@ -351,11 +410,15 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
 
     The one-sequence case of ``forward_packed`` (the cache works as
     there).  Hidden rows align 1:1 with input positions; logits, off the
-    tape, cover text positions only.
+    tape, cover text positions only.  A cache keeps the transposed output
+    projection the logits read across a decode.
     """
     hidden = forward_packed([seq], params, cache)
     P = seq.num_patches
-    logits = hidden.data[P : P + len(seq.token_ids)] @ params.out_proj.data.T.copy()
+    if cache is not None and cache.out_t is None:
+        cache.out_t = params.out_proj.data.T.copy()
+    wt = params.out_proj.data.T.copy() if cache is None else cache.out_t
+    logits = hidden.data[P : P + len(seq.token_ids)] @ wt
     return hidden, Tensor(logits)
 
 

@@ -16,6 +16,7 @@ from medsegdet.autodiff import (
     finite_difference_check,
     reset_tape,
 )
+from medsegdet.mllm import BlockParams, attention_sublayer, ffn_sublayer
 
 
 def test_matmul_identity():
@@ -129,14 +130,14 @@ def _kernel_cases(rng):
     r = Tensor(away, requires_grad=True)
     wconst = rng.normal(size=(3, 4))
     wmat = rng.normal(size=(3, 3))
-    gain = Tensor(rng.normal(size=4), requires_grad=True)
-    shift = Tensor(rng.normal(size=4), requires_grad=True)
-    # two packed segments, (P, T, cached): 1 patch + 2 text rows, then 2 text rows after 1 cached row
-    segments = [(1, 2, 0), (0, 2, 1)]
-    q = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    k = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    v = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    watt = rng.normal(size=(5, 4))
+    # one LM block of width 4 with 2 heads, over two packed segments, (P, T, cached):
+    # 1 patch + 2 text rows, then 2 text rows
+    blk = random_block(4, rng)
+    segments = [(1, 2, 0), (0, 2, 0)]
+    rows = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    wrows = rng.normal(size=(5, 4))
+    attn_params = [rows, blk.ln1_g, blk.ln1_b, blk.wq, blk.wk, blk.wv, blk.wo]
+    ffn_params = [rows, blk.ln2_g, blk.ln2_b, blk.w1, blk.b1, blk.w2, blk.b2]
 
     return {
         "matmul": ([a, m], lambda: (ad.matmul(a, m) * wmat).sum()),
@@ -147,9 +148,16 @@ def _kernel_cases(rng):
         "concat": ([a, b], lambda: (ad.concat([a, b]) * np.vstack([wconst, wconst])).sum()),
         "sum": ([a], lambda: ad.tsum(a)),
         "slice": ([a], lambda: (ad.tslice(a, (slice(0, 2), slice(1, 3))) * wconst[:2, 1:3]).sum()),
-        "layer_norm": ([a, gain, shift], lambda: (ad.layer_norm(a, gain, shift, 1e-5) * wconst).sum()),
-        "attention": ([q, k, v], lambda: (ad.attention(q, k, v, segments, 2) * watt).sum()),
+        "attention_sublayer": (attn_params, lambda: (attention_sublayer(rows, blk, segments, 2) * wrows).sum()),
+        "ffn_sublayer": (ffn_params, lambda: (ffn_sublayer(rows, blk) * wrows).sum()),
     }
+
+
+def random_block(d, rng):
+    """An LM block's parameters, all drawn at random so that every term of its gradients counts."""
+    shapes = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+              "ln2_g": (d,), "ln2_b": (d,), "w1": (d, 4 * d), "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,)}
+    return BlockParams(**{k: Tensor(rng.normal(size=shape), requires_grad=True) for k, shape in shapes.items()})
 
 
 def test_every_kernel_matches_finite_differences_on_100_inputs():
@@ -211,17 +219,22 @@ def test_attention_matches_a_loop_over_segments_and_heads():
     for queries in QUERY_SUBSETS:
         n_q = n_k - 6 if queries is None else sum(map(len, queries))
         q, k, v = (rng.normal(size=(n, 8)) for n in (n_q, n_k, n_k))
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2, queries)
+        out, _ = ad._attention(q, k, v, segments, 2, queries)
         want = reference_attention(q, k, v, segments, 2, queries)
-        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12, err_msg=str(queries))
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12, err_msg=str(queries))
         for bad_q, bad_k in ((q, k[1:]), (q[1:], k)):
             with pytest.raises(ShapeError, match="attention"):
-                ad.attention(Tensor(bad_q), Tensor(bad_k), Tensor(v), segments, 2, queries)
-        if queries is not None:  # the full case is among the kernels checked above
-            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
-            w = rng.normal(size=out.shape)
-            err = finite_difference_check(lambda: (ad.attention(qt, kt, vt, segments, 2, queries) * w).sum(), [qt, kt, vt])
-            assert err < 1e-4, queries
+                ad._attention(bad_q, bad_k, v, segments, 2, queries)
+        qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        w = rng.normal(size=out.shape)
+        err = finite_difference_check(lambda: (attention_node(qt, kt, vt, segments, 2, queries) * w).sum(), [qt, kt, vt])
+        assert err < 1e-4, queries
+
+
+def attention_node(q, k, v, segments, n_heads, queries=None):
+    """``autodiff._attention`` and its VJP as one tape node."""
+    out, spans = ad._attention(q.data, k.data, v.data, segments, n_heads, queries)
+    return ad._record(out, (q, k, v), lambda g: ad._attention_vjp(g, q.data, k.data, v.data, spans, n_heads))
 
 
 BROADCAST_OPS = {"add": ad.add, "mul": ad.mul}
@@ -440,11 +453,9 @@ def test_layer_norm_forward_and_vjp_are_bitwise_the_mean_formula():
         d = x.shape[-1]
         g, b, gout = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
         gout.flat[:3] = [-0.0, 0.0, 1e-310]
-        reset_tape()
-        params = [Tensor(a, requires_grad=True) for a in (x, g, b)]
         with np.errstate(invalid="ignore"):
-            out = ad.layer_norm(*params, 1e-5)
-            got = (out.data, *vjp_of_last_node(gout))
+            out, xhat, rstd = ad._layer_norm(x, g, b, 1e-5)
+            got = (out, *ad._layer_norm_vjp(gout, xhat, rstd, g))
             want = old_layer_norm(x, g, b, 1e-5, gout)
         for got_part, want_part in zip(got, want):
             assert same_bits(got_part, want_part)
@@ -506,5 +517,5 @@ def test_attention_is_bitwise_the_allowed_mask_formula(segments, queries):
     queries = [np.arange(P + T) for P, T, _ in segments] if queries is None else queries
     n_q, n_k = sum(map(len, queries)), sum(P + T + c for P, T, c in segments)
     q, k, v = (rng.normal(scale=3.0, size=(n, 8)) for n in (n_q, n_k, n_k))
-    got = ad.attention(Tensor(q), Tensor(k), Tensor(v), segments, 2, queries).data
+    got, _ = ad._attention(q, k, v, segments, 2, queries)
     assert same_bits(got, old_attention(q, k, v, segments, 2, queries))

@@ -242,6 +242,29 @@ def test_raster_is_one_node_bitwise_its_tape_composition(H, W):
         assert same_bits(got_grad, want_grad)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_mask_dots_are_one_node_bitwise_their_matmul_and_reshape(p):
+    rng = np.random.default_rng(32)
+    B, Hf, Wf = 3, 4, 5
+    patches = rng.uniform(size=(B, Hf, Wf, p * p))
+    patches.flat[::4], patches.flat[1::7] = 0.0, -0.0  # pixel products of zeros of both signs
+    params = init_mask_decoder_params(feat_dim=3, prompt_dim=6, seed=33)
+    h_seg = rng.normal(size=(B, 6))
+    h_seg[-1] = 0.0  # a zero prompt: its q is zero
+    ad.reset_tape()
+    proj = Tensor(rng.normal(size=(p * p, 3)), requires_grad=True)
+    mask_decode((patches, proj), Tensor(h_seg, requires_grad=True), boxes(0, 0, 1, 1), params, (Hf, Wf), 50.0, False)
+    nodes = ad.active_tape().nodes
+    dots = next(n for n in nodes if n.grad_fn is not None and n.tensor.shape == (B, Hf, Wf))
+    (q_id,) = dots.parent_ids
+    g = output_gradient(rng, (B, Hf, Wf))
+    (got_grad,) = dots.grad_fn(g)
+    P = Tensor(patches.reshape(B, Hf * Wf, p * p))
+    want, want_grad = composed_value_and_vjp(lambda q: (P @ q).reshape(B, Hf, Wf), nodes[q_id].tensor.data, g)
+    assert same_bits(dots.tensor.data, want)
+    assert same_bits(got_grad, want_grad)
+
+
 # -- mask decoding -------------------------------------------------------------
 # ``features(grid)`` gives mask_decode a (B, Hf, Wf, d) feature grid as the
 # patch grid of an identity projection

@@ -13,6 +13,7 @@ from medsegdet.mllm import (
     CacheGradError,
     CandidateAbsentError,
     DuplicateCandidateError,
+    LN_EPS,
     KVCache,
     LmConfig,
     ModelParams,
@@ -24,8 +25,10 @@ from medsegdet.mllm import (
     encode_image_patches,
     image_patches,
     encode_text,
+    attention_sublayer,
     candidate_bundles,
     expand_vocabulary,
+    ffn_sublayer,
     forward,
     forward_packed,
     init_params,
@@ -144,11 +147,11 @@ def test_forward_causality_prefix_recomputation():
 
 def test_forward_rejects_bad_tokens_and_lengths():
     params = init_params(SMALL, seed=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="forward_packed: token id out of vocabulary"):
         forward(MultimodalSequence(no_patches(8), [99]), params)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="forward_packed: empty sequence"):
         forward(MultimodalSequence(no_patches(8), []), params)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="forward_packed: sequence length 40 exceeds max_seq 32"):
         forward(MultimodalSequence(no_patches(8), [1] * 40), params)
 
 
@@ -241,6 +244,24 @@ def test_forward_packed_rows_equal_the_full_pass_rows(shapes, data):
                 forward_packed(seqs, params, rows=rows)
 
 
+def test_forward_packed_rows_of_a_model_without_blocks_are_the_embedding_rows():
+    cfg = LmConfig(d_model=8, n_blocks=0, n_heads=2, max_seq=32)
+    params = init_params(cfg, seed=46)
+    seq = MultimodalSequence(no_patches(8), [5, 6, 7, 8])
+    full = forward_packed([seq], params)
+    part = forward_packed([seq], params, rows=[1, 3])
+    assert part.shape == (2, 8)
+    np.testing.assert_array_equal(part.data, full.data[[1, 3]])
+
+
+def test_forward_packed_rejects_rows_outside_the_packed_rows():
+    params = random_model(SMALL, 47)
+    seq = MultimodalSequence(no_patches(8), [1, 2, 3])
+    for rows in ([-1, 2], [1, 3]):
+        with pytest.raises(ShapeError, match="forward_packed: rows must be sorted and distinct, in 0..2"):
+            forward_packed([seq], params, rows=rows)
+
+
 def test_forward_packed_rejects_no_sequences_and_a_cache_of_several():
     params = random_model(SMALL, 44)
     with pytest.raises(ShapeError, match="no sequences"):
@@ -248,6 +269,111 @@ def test_forward_packed_rejects_no_sequences_and_a_cache_of_several():
     seq = MultimodalSequence(no_patches(8), [1])
     with ad.no_grad(), pytest.raises(ShapeError, match="one sequence"):
         forward_packed([seq, seq], params, KVCache(SMALL))
+
+
+# -- a block's two sublayer nodes against the op-by-op composition ---------------
+
+def taped_layer_norm(x, g, b):
+    """Layer norm as the composition recorded it: one node from the shared kernels."""
+    out, xhat, rstd = ad._layer_norm(x.data, g.data, b.data, LN_EPS)
+    return ad._record(out, (x, g, b), lambda gout: ad._layer_norm_vjp(gout, xhat, rstd, g.data))
+
+
+def taped_attention(q, k, v, segments, n_heads, queries):
+    out, spans = ad._attention(q.data, k.data, v.data, segments, n_heads, queries)
+    return ad._record(out, (q, k, v), lambda g: ad._attention_vjp(g, q.data, k.data, v.data, spans, n_heads))
+
+
+def composed_attention(x, blk, segments, n_heads, cache=None, block=0, rows=None, queries=None):
+    """``attention_sublayer`` as the tape recorded it, op by op."""
+    h = taped_layer_norm(x, blk.ln1_g, blk.ln1_b)
+    k, v = h @ blk.wk, h @ blk.wv
+    if cache is not None:
+        k, v = (Tensor(a) for a in cache.extend(block, k.data, v.data))
+    if rows is not None:
+        x, h = x[rows], h[rows]
+    return x + taped_attention(h @ blk.wq, k, v, segments, n_heads, queries) @ blk.wo
+
+
+def composed_ffn(x, blk):
+    """``ffn_sublayer`` as the tape recorded it, op by op."""
+    h = ad.relu(taped_layer_norm(x, blk.ln2_g, blk.ln2_b) @ blk.w1 + blk.b1)
+    return x + h @ blk.w2 + blk.b2
+
+
+def random_block(d, seed):
+    """A block whose every parameter is random, so that each term of each gradient counts."""
+    rng = np.random.default_rng(seed)
+    blk = init_params(LmConfig(d_model=d, n_blocks=1, n_heads=2), seed=seed).blocks[0]
+    for t in vars(blk).values():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    return blk
+
+
+def same_bits(*arrays):
+    return len({(a.shape, np.asarray(a).tobytes()) for a in arrays}) == 1
+
+
+# three packed sequences (P, T, cached), 15 rows; the last block's subset takes
+# rows 1 and 5 of the first, the second's first two and the third's text rows
+PACKED = [(3, 4, 0), (0, 5, 0), (2, 1, 0)]
+SUBSET = {"rows": np.array([1, 5, 7, 8, 13, 14]), "queries": [np.array([1, 5]), np.array([0, 1]), np.array([1, 2])]}
+
+
+@pytest.mark.parametrize("subset", [{}, SUBSET], ids=["every-row", "last-block-rows"])
+@pytest.mark.parametrize("sublayer", ["attention", "ffn"])
+def test_sublayer_node_is_bitwise_its_composition(sublayer, subset):
+    blk = random_block(8, 51)
+    rng = np.random.default_rng(52)
+    x0 = rng.normal(size=(15, 8))
+    if sublayer == "attention":
+        fused, composed = attention_sublayer, composed_attention
+        parents = ["ln1_g", "ln1_b", "wq", "wk", "wv", "wo"]
+        args = (PACKED, 2)
+        kwargs = subset
+    else:  # the FFN is row by row: the subset case feeds it the subset's rows
+        fused, composed = ffn_sublayer, composed_ffn
+        parents = ["ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
+        x0 = x0[subset["rows"]] if subset else x0
+        args, kwargs = (), {}
+    wout = rng.normal(size=(len(subset.get("rows", x0)), 8))
+    wout[-1] = -0.0  # the last row's keys serve only its own query: its gradients are signed zeros
+    results = []
+    for fn in (fused, composed):
+        tape = ad.reset_tape()
+        x = Tensor(x0, requires_grad=True)
+        y = fn(x, blk, *args, **kwargs)
+        ops = sum(node.grad_fn is not None for node in tape.nodes)
+        ad.backward((y * wout).sum())
+        results.append([y.data, x.grad, *(getattr(blk, name).grad for name in parents)])
+        with ad.no_grad():
+            y_nograd = fn(Tensor(x0, requires_grad=True), blk, *args, **kwargs)
+        assert not y_nograd.requires_grad and same_bits(y_nograd.data, y.data)
+        if fn is fused:
+            assert ops == 1 and tape.nodes[-1].grad_fn is not None
+    for i, (got, want) in enumerate(zip(*results)):
+        assert same_bits(got, want), (["value", "x", *parents][i])
+
+
+def test_sublayer_nodes_decode_through_a_cache_as_the_composition_does():
+    blk = random_block(8, 53)
+    rng = np.random.default_rng(54)
+    prompt, token = rng.normal(size=(5, 8)), rng.normal(size=(1, 8))
+    results = []
+    for attention, ffn in ((attention_sublayer, ffn_sublayer), (composed_attention, composed_ffn)):
+        cache = KVCache(LmConfig(d_model=8, n_blocks=2, n_heads=2, max_seq=16))
+        tape = ad.reset_tape()
+        out = []
+        with ad.no_grad():
+            # the prompt (2 patches, 3 tokens), then one token row after the 5 cached ones
+            for x, segment in ((prompt, (2, 3, 0)), (token, (0, 1, 5))):
+                y = attention(Tensor(x), blk, [segment], 2, cache, 1)
+                out += [y.data, ffn(y, blk).data]
+                cache.rows += len(x)
+        assert tape.nodes == []
+        results.append([*out, cache.keys[1, :6].copy(), cache.values[1, :6].copy()])
+    for got, want in zip(*results):
+        assert same_bits(got, want)
 
 
 # -- greedy decoding ----------------------------------------------------------

@@ -691,7 +691,7 @@ def test_train_steps_reproduce_recorded_losses_and_gradients(mode):
 
 
 # every node a step records, leaves included; the count does not depend on the batch size
-TAPE_NODES = {"end2end": 123, "finetune": 130}
+TAPE_NODES = {"end2end": 96, "finetune": 103}
 
 
 @pytest.mark.parametrize("mode", sorted(TAPE_NODES))
