@@ -3,8 +3,10 @@
 Embeds image patches as a prefix, runs byte-level text through a small
 pre-norm transformer with prefix-causal masking, and exposes the pieces
 the perception pipeline needs: last-layer hidden states, logits over an
-expandable vocabulary, greedy decoding (each row fed once, through a
-per-block key/value cache), and candidate-token extraction.  A batch of
+expandable vocabulary, greedy decoding (through a per-block key/value
+cache; drafts copied from the ids so far are verified several to a
+forward, and the ids are those of one-token greedy decoding), and
+candidate-token extraction.  A batch of
 sequences runs as one row matrix (``forward_packed``, no padding): every
 layer sees each row once, attention keeps each sequence to its own rows,
 and the last block computes just the rows its caller reads, named in
@@ -257,7 +259,12 @@ def encode_image_patches(image: np.ndarray, patch_size: int, projection: Tensor)
 
 
 class KVCache:
-    """Keys and values of every row fed so far, per block, for no-grad decoding."""
+    """Keys and values per block of the rows kept so far, for no-grad decoding.
+
+    ``rows`` counts the kept rows.  A forward appends its rows' keys and
+    values and counts them; a decoder that rejects some sets ``rows``
+    back, and rows past it are scratch the next forward overwrites.
+    """
 
     def __init__(self, cfg: LmConfig):
         self.rows = 0
@@ -422,28 +429,62 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
     return hidden, Tensor(logits)
 
 
+DRAFT_LEN = 8  # draft tokens verified per forward
+DRAFT_NGRAM = 3  # longest suffix matched when drafting
+
+
+def _drafts(ids: list[int], k: int) -> list[int]:
+    """Up to k ids that followed the latest earlier occurrence of the longest
+    suffix of ``ids`` (of at most DRAFT_NGRAM ids) that occurs earlier; none
+    if the last id is new."""
+    if k < 1:
+        return []
+    best, start, last = 0, 0, len(ids) - 1
+    for j in range(last - 1, -1, -1):
+        m = 0
+        while m < DRAFT_NGRAM and m <= j and ids[j - m] == ids[last - m]:
+            m += 1
+        if m > best:
+            best, start = m, j + 1
+            if m == DRAFT_NGRAM:
+                break
+    return ids[start : start + k] if best else []
+
+
 def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int) -> list[int]:
     """Argmax decoding from the prompt; stops after emitting EOS_ID or max_len tokens.
 
-    Feeds the prompt once, then each new token, through one ``KVCache``.
+    Feeds the prompt through one ``KVCache``, then verifies drafts copied
+    from the ids so far (prompt-lookup speculative decoding): each step
+    feeds the last token and up to DRAFT_LEN drafts as one forward, emits
+    the argmax of every row up to the first draft it rejects, and keeps
+    only the rows of the tokens it emitted in the cache.  Every step
+    emits at least one token, and the ids are those of one-token greedy
+    decoding: each emitted id is the argmax after the ids before it.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)) or max_len < 1:
+        raise ValueError(f"decode_greedy: max_len must be a positive int, got {max_len!r}")
     if not prompt.token_ids:
         raise ShapeError("decode_greedy: prompt has no text tokens to predict from")
-    cache = KVCache(params.cfg)
-    no_patches = Tensor(np.zeros((0, params.cfg.d_model)))
-    seq = prompt
-    generated: list[int] = []
+    cfg = params.cfg
+    cache = KVCache(cfg)
+    no_patches = Tensor(np.zeros((0, cfg.d_model)))
+    ids = list(prompt.token_ids)
+    stop = len(ids) + max_len
+    seq, drafts = prompt, []
     with ad.no_grad():
-        for _ in range(max_len):
+        while True:
             _, logits = forward(seq, params, cache)
-            nxt = int(np.argmax(logits.data[-1]))
-            generated.append(nxt)
-            if nxt == EOS_ID:
-                break
-            seq = MultimodalSequence(no_patches, [nxt])
-    return generated
+            # row r predicts the id after the r-th fed one; drafts[r] was fed after it
+            for r, nxt in enumerate(np.argmax(logits.data[-1 - len(drafts) :], axis=1).tolist()):
+                ids.append(nxt)
+                if nxt == EOS_ID or len(ids) == stop:
+                    return ids[len(prompt.token_ids) :]
+                if r == len(drafts) or nxt != drafts[r]:
+                    break
+            cache.rows -= len(drafts) - r  # the rejected drafts' rows
+            drafts = _drafts(ids, min(DRAFT_LEN, stop - len(ids) - 1, cfg.max_seq - cache.rows - 1))
+            seq = MultimodalSequence(no_patches, [nxt, *drafts])
 
 
 def candidate_bundles(

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import medsegdet.autodiff as ad
+from medsegdet import mllm
 from medsegdet.autodiff import ShapeError, Tensor
 from medsegdet.losses import text_ce_loss
 from medsegdet.mllm import (
@@ -409,8 +410,14 @@ def test_decode_greedy_emits_after_eos_ending_prompt():
 
 
 def test_decode_greedy_rejects_bad_max_len():
-    with pytest.raises(ValueError):
-        decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), max_len=0)
+    # 2.5 once raised a bare TypeError and True decoded one token
+    for max_len in (0, -1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_len must be a positive int"):
+            decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), max_len=max_len)
+
+
+def test_decode_greedy_takes_a_numpy_int_max_len():
+    assert decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), np.int64(3)) == [7] * 3
 
 
 def test_decode_greedy_rejects_prompt_without_text_tokens():
@@ -440,21 +447,83 @@ def random_model(cfg, seed):
     return params
 
 
-@pytest.mark.parametrize(
-    "params, prompt, max_len",
-    [
-        (forced_model(7), MultimodalSequence(no_patches(4), [1, 2]), 6),
-        (forced_model(EOS_ID), MultimodalSequence(rand_patches(3, 4), [1, 2]), 6),
-        (random_model(SMALL, 30), MultimodalSequence(rand_patches(4, 8, seed=31), [3, 1, 4, 1, 5]), 20),
-        (random_model(SMALL, 32), MultimodalSequence(rand_patches(2, 8, seed=33), [9, 2, EOS_ID]), 20),
-        (random_model(SMALL, 34), MultimodalSequence(no_patches(8), [7]), 31),
-        (random_model(LmConfig(d_model=8, n_blocks=0, n_heads=2, base_vocab=16, max_seq=32), 36),
-         MultimodalSequence(rand_patches(3, 8, seed=37), [4, 4]), 20),
-    ],
-    ids=["forced", "forced-eos", "two-blocks", "eos-ending-prompt", "text-only-to-max-seq", "no-blocks"],
-)
+def successor_model(forced=None, vocab_size=16, max_seq=32):
+    """No blocks: the argmax after id t at position p is ``forced[p]`` if
+    given, else t + 1 (15 -> 1).  One-hot embeddings make every id and
+    position decide alone, so drafts copied from a prompt that counts up
+    are accepted, and a cache row count off by one moves a forced id."""
+    V, S = vocab_size, max_seq
+    params = init_params(LmConfig(d_model=V + S, n_blocks=0, n_heads=1, base_vocab=V, patch_size=2, max_seq=S))
+    onehot = np.eye(V + S)
+    params.tok_emb = Tensor(onehot[:V], requires_grad=True)
+    params.pos_emb = Tensor(onehot[V:], requires_grad=True)
+    out = np.zeros((V, V + S))
+    out[np.arange(V) % (V - 1) + 1, np.arange(V)] = 1.0
+    for p, t in (forced or {}).items():
+        out[t, V + p] = 2.0
+    params.out_proj = Tensor(out, requires_grad=True)
+    return params
+
+
+def successor_case(forced, prompt_ids, max_len, forwards, max_seq=32):
+    params = successor_model(forced, max_seq=max_seq)
+    return params, MultimodalSequence(no_patches(params.cfg.d_model), prompt_ids), max_len, forwards
+
+
+# Each successor prompt starts 1 2 3 7 and ends 1 2, so the first id (3)
+# drafts 7 ..., which is rejected at once (4); the cases then draft from
+# the prompt after "4".  The forced ids come after that rollback, so an
+# off-by-one cache row count changes the decoded ids.
+COUNT_UP = [1, 2, 3, 7, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 1, 2]
+DECODE_CASES = {  # id: (params, prompt, max_len, LM forwards)
+    "forced": (forced_model(7), MultimodalSequence(no_patches(4), [1, 2]), 6, 4),
+    "forced-eos": (forced_model(EOS_ID), MultimodalSequence(rand_patches(3, 4), [1, 2]), 6, 1),
+    "two-blocks": (random_model(SMALL, 30), MultimodalSequence(rand_patches(4, 8, seed=31), [3, 1, 4, 1, 5]), 20, 16),
+    "eos-ending-prompt": (random_model(SMALL, 32), MultimodalSequence(rand_patches(2, 8, seed=33), [9, 2, EOS_ID]), 20, 17),
+    "text-only-to-max-seq": (random_model(SMALL, 34), MultimodalSequence(no_patches(8), [7]), 31, 29),
+    "no-blocks": (random_model(LmConfig(d_model=8, n_blocks=0, n_heads=2, base_vocab=16, max_seq=32), 36),
+                  MultimodalSequence(rand_patches(3, 8, seed=37), [4, 4]), 20, 10),
+    # 3, then 4 rejects the first draft (7), then EOS forced at 7
+    "rejected-at-first-draft": successor_case({7: EOS_ID}, [1, 2, 3, 7, 1, 2], 20, 3),
+    # after 4: drafts 5 9 9 ..., 5 accepted, 9 rejected for 6, then EOS forced at 13
+    "accepted-in-part": successor_case({13: EOS_ID}, [1, 2, 3, 7, 4, 5, 9, 9, 1, 2], 20, 4),
+    # after 4: drafts 5 ... 12 all accepted, with 13; 13 drafts 1 ..., EOS forced at 26
+    "accepted-whole": successor_case({26: EOS_ID}, COUNT_UP, 20, 4),
+    # after 4: drafts 5 6 0 9 ..., and EOS forced at 14 accepts the third
+    "eos-inside-accepted-run": successor_case({14: EOS_ID}, [1, 2, 3, 7, 4, 5, 6, 0, 9, 1, 2], 20, 3),
+    # after 4 only 3 drafts fit in max_len; the last id, forced at 20, is 15
+    "cut-by-max-len": successor_case({20: 15}, COUNT_UP, 6, 3),
+    # max_seq 26: the accepted run ends on the last row, forced at 25 to 15
+    "accepted-to-max-seq": successor_case({25: 15}, COUNT_UP, 11, 3, max_seq=26),
+    # max_len past max_seq 24: drafts stop at the last row, where EOS is forced
+    "eos-on-the-last-row": successor_case({23: EOS_ID}, COUNT_UP, 20, 3, max_seq=24),
+    # random two-block models, prompts that repeat a 3-gram
+    "two-blocks-repeated-3-gram": (random_model(SMALL, 44), MultimodalSequence(rand_patches(2, 8, seed=45),
+                                   [5, 6, 7, 5, 6, 7, 5, 6]), 20, 19),
+    "two-blocks-repeated-3-gram-text": (random_model(SMALL, 46),
+                                        MultimodalSequence(no_patches(8), [3, 9, 4, 3, 9, 4, 3, 9, 4, 3]), 20, 18),
+}
+
+
+@pytest.mark.parametrize("params, prompt, max_len", [c[:3] for c in DECODE_CASES.values()], ids=list(DECODE_CASES))
 def test_cached_decoding_matches_uncached_loop(params, prompt, max_len):
     assert decode_greedy(prompt, params, max_len) == reference_decode(prompt, params, max_len)
+
+
+@pytest.mark.parametrize("params, prompt, max_len, forwards", list(DECODE_CASES.values()), ids=list(DECODE_CASES))
+def test_decoding_runs_at_most_one_lm_forward_per_token(monkeypatch, params, prompt, max_len, forwards):
+    calls, real = [], mllm.forward
+    monkeypatch.setattr(mllm, "forward", lambda *a, **k: calls.append(1) or real(*a, **k))
+    ids = decode_greedy(prompt, params, max_len)
+    assert len(calls) == forwards <= len(ids)
+
+
+def test_decoding_past_max_seq_fails_as_the_uncached_loop_does():
+    params = successor_model(max_seq=24)
+    prompt = MultimodalSequence(no_patches(params.cfg.d_model), COUNT_UP)
+    for decode in (decode_greedy, reference_decode):
+        with pytest.raises(ShapeError, match="exceeds max_seq 24"):
+            decode(prompt, params, 10)
 
 
 def test_row_by_row_cache_matches_full_forward():

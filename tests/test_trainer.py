@@ -922,8 +922,8 @@ RECORDED_EVAL = (
 )
 
 
-def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
-    """Two records trained on with the eval prompt, one unseen; bitwise as recorded."""
+def recorded_eval_fixture():
+    """Two records trained on with the eval prompt, one unseen."""
     cfg = tiny_config(lr_max=3e-3, warmup_iters=10, total_iters=200, batch_size=2, max_gen_len=40)
     records = synth_records(3, seed=3)
     batch = [
@@ -934,6 +934,12 @@ def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
     opt = init_opt_state(model.trainable())
     for it in range(cfg.total_iters):
         train_step(model, batch, it, cfg, opt)
+    return model, records
+
+
+def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
+    """Two records trained on with the eval prompt, one unseen; bitwise as recorded."""
+    model, records = recorded_eval_fixture()
     generated, real_decode = [], trainer.decode_greedy
     monkeypatch.setattr(trainer, "decode_greedy", lambda *a: generated.append(real_decode(*a)) or generated[-1])
     report, samples = evaluate_model(model, records)
@@ -942,6 +948,26 @@ def test_evaluate_reproduces_recorded_report_and_samples(monkeypatch):
         digest.update(s.pred_mask.tobytes())
         digest.update(repr(None if s.pred_box is None else s.pred_box.as_floats()).encode())
     assert (generated, repr(report), digest.hexdigest()[:16]) == RECORDED_EVAL
+
+
+# LM forwards per record of RECORDED_EVAL's decodes of 14, 15 and 15 ids, the
+# prompt's included: drafts copied from the prompt cut them from one per id.
+# The third record's answer names another label than its prompt does.
+DECODE_FORWARDS = [7, 8, 12]
+
+
+def test_evaluate_decodes_recorded_eval_in_its_pinned_number_of_lm_forwards(monkeypatch):
+    """Greedy decoding reaches the LM through ``mllm.forward``, the name a
+    tracer wraps to count forwards; a change that drafts worse raises the pin."""
+    model, records = recorded_eval_fixture()
+    calls, real_forward = [], mllm.forward
+    monkeypatch.setattr(mllm, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
+    forwards = []
+    for record in records:
+        calls.clear()
+        evaluate_model(model, [record])
+        forwards.append(len(calls))
+    assert forwards == DECODE_FORWARDS
 
 
 def test_evaluate_logs_why_a_record_scores_zero(monkeypatch, caplog):
