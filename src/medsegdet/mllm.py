@@ -462,7 +462,7 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
     emits at least one token, and the ids are those of one-token greedy
     decoding: each emitted id is the argmax after the ids before it.
     """
-    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)) or max_len < 1:
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"decode_greedy: max_len must be a positive int, got {max_len!r}")
     if not prompt.token_ids:
         raise ShapeError("decode_greedy: prompt has no text tokens to predict from")

@@ -416,10 +416,6 @@ def test_decode_greedy_rejects_bad_max_len():
             decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), max_len=max_len)
 
 
-def test_decode_greedy_takes_a_numpy_int_max_len():
-    assert decode_greedy(MultimodalSequence(no_patches(4), [1]), forced_model(7), np.int64(3)) == [7] * 3
-
-
 def test_decode_greedy_rejects_prompt_without_text_tokens():
     prompt = MultimodalSequence(rand_patches(3, 4), [])
     with pytest.raises(ShapeError, match="decode_greedy"):
