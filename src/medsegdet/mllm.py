@@ -5,8 +5,8 @@ pre-norm transformer with prefix-causal masking, and exposes the pieces
 the perception pipeline needs: last-layer hidden states, logits over an
 expandable vocabulary, greedy decoding (through a per-block key/value
 cache; drafts copied from the ids so far are verified several to a
-forward, and the ids are those of one-token greedy decoding), and
-candidate-token extraction.  A batch of
+forward, whose rows match one-token decoding's up to last-bit
+rounding), and candidate-token extraction.  A batch of
 sequences runs as one row matrix (``forward_packed``, no padding): every
 layer sees each row once, attention keeps each sequence to its own rows,
 and the last block computes just the rows its caller reads, named in
@@ -429,7 +429,7 @@ def forward(seq: MultimodalSequence, params: ModelParams, cache: KVCache | None 
     return hidden, Tensor(logits)
 
 
-DRAFT_LEN = 8  # draft tokens verified per forward
+DRAFT_LEN = 8  # most draft tokens verified per forward
 DRAFT_NGRAM = 3  # longest suffix matched when drafting
 
 
@@ -456,11 +456,17 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
 
     Feeds the prompt through one ``KVCache``, then verifies drafts copied
     from the ids so far (prompt-lookup speculative decoding): each step
-    feeds the last token and up to DRAFT_LEN drafts as one forward, emits
-    the argmax of every row up to the first draft it rejects, and keeps
-    only the rows of the tokens it emitted in the cache.  Every step
-    emits at least one token, and the ids are those of one-token greedy
-    decoding: each emitted id is the argmax after the ids before it.
+    feeds the last token and its drafts as one forward, emits the argmax
+    of every row up to the first draft it rejects, and keeps only the
+    rows of the tokens it emitted in the cache.  A step that takes every
+    draft doubles the next step's draft budget (at least 1, at most
+    DRAFT_LEN); one that rejects a draft leaves as many as it took, so
+    answers that copy little from the prompt feed few rejected rows.
+    Every step emits at least one token.  Each emitted id is the argmax
+    after the ids before it, of a row that matches one-token decoding's
+    only up to last-bit rounding (a verification forward is a matrix
+    product where one token is a vector product): a near tie could flip
+    an id.  Identical ids are checked on fixtures, not guaranteed.
     """
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"decode_greedy: max_len must be a positive int, got {max_len!r}")
@@ -471,7 +477,7 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
     no_patches = Tensor(np.zeros((0, cfg.d_model)))
     ids = list(prompt.token_ids)
     stop = len(ids) + max_len
-    seq, drafts = prompt, []
+    seq, drafts, budget = prompt, [], DRAFT_LEN
     with ad.no_grad():
         while True:
             _, logits = forward(seq, params, cache)
@@ -483,7 +489,8 @@ def decode_greedy(prompt: MultimodalSequence, params: ModelParams, max_len: int)
                 if r == len(drafts) or nxt != drafts[r]:
                     break
             cache.rows -= len(drafts) - r  # the rejected drafts' rows
-            drafts = _drafts(ids, min(DRAFT_LEN, stop - len(ids) - 1, cfg.max_seq - cache.rows - 1))
+            budget = min(DRAFT_LEN, max(1, 2 * budget)) if r == len(drafts) else r
+            drafts = _drafts(ids, min(budget, stop - len(ids) - 1, cfg.max_seq - cache.rows - 1))
             seq = MultimodalSequence(no_patches, [nxt, *drafts])
 
 

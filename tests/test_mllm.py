@@ -466,33 +466,37 @@ def successor_case(forced, prompt_ids, max_len, forwards, max_seq=32):
     return params, MultimodalSequence(no_patches(params.cfg.d_model), prompt_ids), max_len, forwards
 
 
-# Each successor prompt starts 1 2 3 7 and ends 1 2, so the first id (3)
-# drafts 7 ..., which is rejected at once (4); the cases then draft from
-# the prompt after "4".  The forced ids come after that rollback, so an
-# off-by-one cache row count changes the decoded ids.
-COUNT_UP = [1, 2, 3, 7, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 1, 2]
+# Each successor prompt starts 1 2 3 and ends 1 2, so the first id (3)
+# drafts what follows 1 2 3 in the prompt.  The forced ids come after a
+# rollback, so an off-by-one cache row count changes the decoded ids.
+# A step that rejects a draft leaves the next step as many drafts as it
+# took: after PART's 4 5 (9 rejected for 6), 6 drafts 7 8.
+PART = [1, 2, 3, 4, 5, 9, 6, 7, 8, 1, 2]
+COUNT_UP = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 2]
 DECODE_CASES = {  # id: (params, prompt, max_len, LM forwards)
     "forced": (forced_model(7), MultimodalSequence(no_patches(4), [1, 2]), 6, 4),
     "forced-eos": (forced_model(EOS_ID), MultimodalSequence(rand_patches(3, 4), [1, 2]), 6, 1),
     "two-blocks": (random_model(SMALL, 30), MultimodalSequence(rand_patches(4, 8, seed=31), [3, 1, 4, 1, 5]), 20, 16),
-    "eos-ending-prompt": (random_model(SMALL, 32), MultimodalSequence(rand_patches(2, 8, seed=33), [9, 2, EOS_ID]), 20, 17),
-    "text-only-to-max-seq": (random_model(SMALL, 34), MultimodalSequence(no_patches(8), [7]), 31, 29),
+    "eos-ending-prompt": (random_model(SMALL, 32), MultimodalSequence(rand_patches(2, 8, seed=33), [9, 2, EOS_ID]), 20, 19),
+    "text-only-to-max-seq": (random_model(SMALL, 34), MultimodalSequence(no_patches(8), [7]), 31, 30),
     "no-blocks": (random_model(LmConfig(d_model=8, n_blocks=0, n_heads=2, base_vocab=16, max_seq=32), 36),
                   MultimodalSequence(rand_patches(3, 8, seed=37), [4, 4]), 20, 10),
-    # 3, then 4 rejects the first draft (7), then EOS forced at 7
+    # 3 drafts 7 ..., 4 rejects the first, then EOS forced at 7
     "rejected-at-first-draft": successor_case({7: EOS_ID}, [1, 2, 3, 7, 1, 2], 20, 3),
-    # after 4: drafts 5 9 9 ..., 5 accepted, 9 rejected for 6, then EOS forced at 13
-    "accepted-in-part": successor_case({13: EOS_ID}, [1, 2, 3, 7, 4, 5, 9, 9, 1, 2], 20, 4),
-    # after 4: drafts 5 ... 12 all accepted, with 13; 13 drafts 1 ..., EOS forced at 26
-    "accepted-whole": successor_case({26: EOS_ID}, COUNT_UP, 20, 4),
-    # after 4: drafts 5 6 0 9 ..., and EOS forced at 14 accepts the third
-    "eos-inside-accepted-run": successor_case({14: EOS_ID}, [1, 2, 3, 7, 4, 5, 6, 0, 9, 1, 2], 20, 3),
-    # after 4 only 3 drafts fit in max_len; the last id, forced at 20, is 15
-    "cut-by-max-len": successor_case({20: 15}, COUNT_UP, 6, 3),
-    # max_seq 26: the accepted run ends on the last row, forced at 25 to 15
-    "accepted-to-max-seq": successor_case({25: 15}, COUNT_UP, 11, 3, max_seq=26),
-    # max_len past max_seq 24: drafts stop at the last row, where EOS is forced
-    "eos-on-the-last-row": successor_case({23: EOS_ID}, COUNT_UP, 20, 3, max_seq=24),
+    # 3 drafts 4 5 9 ..., 4 5 accepted, 9 rejected for 6; EOS forced at 14 rejects 7
+    "accepted-in-part": successor_case({14: EOS_ID}, PART, 20, 3),
+    # 3 drafts 4 ... 11, all accepted, with 12; 12 drafts 1 ..., 13 rejects it; EOS forced at 24
+    "accepted-whole": successor_case({24: EOS_ID}, COUNT_UP, 20, 4),
+    # 3 drafts 4 5 6 9 ..., 9 rejected for 7; 7 drafts 8 0 5 and EOS forced at 19 accepts the 0
+    "eos-inside-accepted-run": successor_case({19: EOS_ID}, [1, 2, 3, 4, 5, 6, 9, 6, 7, 8, 0, 5, 1, 2], 20, 3),
+    # after PART's 6 only one draft, 7, fits in max_len; the last id, forced at 15, is 15
+    "cut-by-max-len": successor_case({15: 15}, PART, 6, 3),
+    # max_seq 17: PART's 6 7 8 fill the last rows, and 8 is forced at 16 to 15
+    "accepted-to-max-seq": successor_case({16: 15}, PART, 7, 3, max_seq=17),
+    # max_len past max_seq 22: 3 ... 7 accepted, 9 rejected for 8, which may draft
+    # 9 10 11 1 but stops at the last row (9 10), where EOS is forced
+    "eos-on-the-last-row": successor_case({21: EOS_ID}, [1, 2, 3, 4, 5, 6, 7, 9, 8, 9, 10, 11, 1, 2], 20, 3,
+                                          max_seq=22),
     # random two-block models, prompts that repeat a 3-gram
     "two-blocks-repeated-3-gram": (random_model(SMALL, 44), MultimodalSequence(rand_patches(2, 8, seed=45),
                                    [5, 6, 7, 5, 6, 7, 5, 6]), 20, 19),
@@ -514,12 +518,26 @@ def test_decoding_runs_at_most_one_lm_forward_per_token(monkeypatch, params, pro
     assert len(calls) == forwards <= len(ids)
 
 
+@pytest.mark.parametrize("prompt_ids, eos_at, fed", [
+    # 4 5 taken, 9 rejected for 6: the next step drafts two (7 8), not eight
+    (PART, 14, [11, 9, 3]),
+    # 7 rejected at once: the next step drafts none, the one after one (6)
+    ([1, 2, 3, 7, 4, 5, 6, 1, 2], 12, [9, 8, 1, 2]),
+], ids=["taken-in-part", "rejected-at-once"])
+def test_draft_budget_follows_the_drafts_taken(monkeypatch, prompt_ids, eos_at, fed):
+    params, prompt, max_len, _ = successor_case({eos_at: EOS_ID}, prompt_ids, 20, None)
+    rows, real = [], mllm.forward
+    monkeypatch.setattr(mllm, "forward", lambda seq, *a, **k: rows.append(len(seq.token_ids)) or real(seq, *a, **k))
+    assert decode_greedy(prompt, params, max_len) == reference_decode(prompt, params, max_len)
+    assert rows == fed
+
+
 def test_decoding_past_max_seq_fails_as_the_uncached_loop_does():
     params = successor_model(max_seq=24)
     prompt = MultimodalSequence(no_patches(params.cfg.d_model), COUNT_UP)
     for decode in (decode_greedy, reference_decode):
         with pytest.raises(ShapeError, match="exceeds max_seq 24"):
-            decode(prompt, params, 10)
+            decode(prompt, params, 12)
 
 
 def test_row_by_row_cache_matches_full_forward():
